@@ -22,6 +22,7 @@ from .network import (
     save_network,
     steady_state,
     steady_state_batch,
+    steady_state_family,
 )
 from .spectra import (
     AmbiguityError,

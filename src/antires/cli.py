@@ -44,16 +44,18 @@ from .network import (
     load_network,
     network_to_dict,
     steady_state,
+    steady_state_family,
 )
 from .oracle import JCParams, linear_limit_check, lindblad_steady_state
 from .presets import NETWORK_PRESETS, STARK_CALIBRATION_POINTS, emitter_resonator
 from .spectra import (
     AmbiguityError,
+    ComplexSpectrum,
     MotionEnsemble,
     antiresonances,
     cancel_pole_zero_pairs,
     detect_antiresonances_numeric,
-    ensemble_mean_amplitudes,
+    ensemble_mean_family,
     lossy_component_identify,
     motion_average,
     poles_zeros_report,
@@ -207,6 +209,13 @@ def _ensemble_from(options: dict, seed: int) -> MotionEnsemble:
     )
 
 
+def _emitter_offsets(network: ModeNetwork, detunings) -> np.ndarray:
+    """Family frequency shifts that put the emitters at ``-detuning``, one row each."""
+    offsets = np.zeros((len(detunings), len(network)))
+    offsets[:, network.emitter_mask] = -np.asarray(detunings, dtype=float)[:, None]
+    return offsets
+
+
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -269,18 +278,21 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
     else:
         rows = np.linspace(det["start"], det["stop"], int(det["points"])).tolist()
 
+    base = emitter_resonator(delta_er=0.0, **opts["network_params"])
+    drive_label = base.driven_label()
+    amps = steady_state_family(
+        base, _emitter_offsets(base, rows), np.ones(len(rows)), grid.frequencies()
+    )
+
     row_reports = []
-    csv_rows = []
+    csv_rows = []  # (detuning, phase_deg, magnitude) arrays, one entry per row
     max_abs_phase = 0.0
-    for d in rows:
-        net = emitter_resonator(delta_er=-d, **opts["network_params"])
-        spectrum = sweep(net, grid)
-        drive_label = net.driven_label()
+    for d, row_amps in zip(rows, amps):
+        spectrum = ComplexSpectrum(grid=grid, labels=base.labels, amplitudes=row_amps)
         phase_deg = np.degrees(spectrum.phase_unwrapped(drive_label))
         mag = spectrum.magnitude(drive_label)
         max_abs_phase = max(max_abs_phase, float(np.max(np.abs(phase_deg))))
-        for p, ph, m in zip(spectrum.probes, phase_deg, mag):
-            csv_rows.append((d, p, ph, m))
+        csv_rows.append((d, phase_deg, mag))
         zeros = [z for z in detect_antiresonances_numeric(spectrum, drive_label,
                                                           opts["prominence_db"])
                  if not z.at_boundary]
@@ -306,8 +318,9 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
     with open(cfg.out_dir / "scan2d.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["detuning_mhz", "probe_mhz", "phase_deg", "magnitude"])
-        for row in csv_rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+        for d, phase_deg, mag in csv_rows:
+            for p, ph, m in zip(grid.frequencies(), phase_deg, mag):
+                writer.writerow([f"{v:.17g}" for v in (d, p, ph, m)])
 
     all_within = all(r["within_one_step"] for r in row_reports)
     report = {
@@ -338,17 +351,15 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
     if "delta_er" in opts["network_params"]:
         raise ConfigError("stark-scan sets the emitter frequency per power; drop delta_er")
     motion = opts["motion"]["enabled"]
-    ensemble = _ensemble_from(opts["motion"], cfg.seed) if motion else None
-    amps = []
-    for d in detunings:
-        net = emitter_resonator(delta_er=-float(d), **opts["network_params"])
-        idx = net.index(net.driven_label())
-        if ensemble is not None:
-            amp = ensemble_mean_amplitudes(net, np.array([0.0]), ensemble)[0, idx]
-        else:
-            amp = steady_state(net, 0.0).amplitudes[idx]
-        amps.append(amp)
-    phase_deg = np.degrees(np.unwrap(np.angle(np.asarray(amps))))
+    base = emitter_resonator(delta_er=0.0, **opts["network_params"])
+    idx = base.index(base.driven_label())
+    offsets = _emitter_offsets(base, detunings)
+    if motion:
+        ensemble = _ensemble_from(opts["motion"], cfg.seed)
+        amps = ensemble_mean_family(base, offsets, np.array([0.0]), ensemble)[:, 0, idx]
+    else:
+        amps = steady_state_family(base, offsets, np.ones(len(offsets)), [0.0])[:, 0, idx]
+    phase_deg = np.degrees(np.unwrap(np.angle(amps)))
 
     fit = fit_arctan_phase(detunings, phase_deg, background=opts["fit"]["background"])
 

@@ -13,19 +13,29 @@ so a two-mode emitter/resonator system driven on the resonator reduces to
     a = eta * (d_pe + 1j*gamma) / ((d_pe + 1j*gamma)*(d_pr + 1j*kappa) - g**2)
 
 with ``d_pe``/``d_pr`` the probe detunings from the emitter and resonator.
+
+Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
+couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
+solves it for a *family* of networks sharing one topology -- per-member
+frequency shifts and emitter coupling scales -- in stacked, memory-bounded
+chunks; the single-network solvers are its one-member views.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO
 
 import numpy as np
 
 MODE_KINDS = ("emitter", "resonator")
+
+# Bound on the stacked response matrices (members x probes x N x N complex
+# entries) that one family solve holds at a time.
+_CHUNK_BYTES = 8 * 2**20
 
 
 class InvalidNetworkError(ValueError):
@@ -75,12 +85,6 @@ class Mode:
             )
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ModeNetwork:
     """An N-mode network: mode list, symmetric coupling matrix, drive vector.
@@ -89,7 +93,8 @@ class ModeNetwork:
     in MHz; the matrix must be real symmetric with zero diagonal.  ``drive``
     is the complex drive amplitude applied to each mode.  Instances are
     immutable; use :meth:`with_drive_on` / ``dataclasses.replace`` to derive
-    variants.
+    variants.  Labels, frequencies, decays, the mode matrix's diagonal and
+    the driven mode are derived once, at construction.
     """
 
     modes: tuple[Mode, ...]
@@ -98,89 +103,87 @@ class ModeNetwork:
 
     def __post_init__(self) -> None:
         modes = tuple(self.modes)
-        object.__setattr__(self, "modes", modes)
         n = len(modes)
         if n == 0:
             raise InvalidNetworkError("network must contain at least one mode")
-        labels = [m.label for m in modes]
+        labels = tuple([m.label for m in modes])
         if len(set(labels)) != n:
             raise InvalidNetworkError(f"duplicate mode labels: {sorted(labels)}")
 
-        c = np.asarray(self.couplings, dtype=float)
+        c = np.array(self.couplings, dtype=float)
         if c.shape != (n, n):
             raise InvalidNetworkError(
                 f"couplings must be ({n}, {n}) for {n} modes, got {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
+        # np.count_nonzero: the cheapest reduction for arrays this small
+        if np.count_nonzero(np.isfinite(c)) != c.size:
             raise InvalidNetworkError("couplings must be finite")
-        if np.any(np.diagonal(c) != 0.0):
+        if np.count_nonzero(c.diagonal()):
             raise InvalidNetworkError("self couplings (nonzero diagonal) are not allowed")
-        if not np.array_equal(c, c.T):
+        if np.count_nonzero(c != c.T):
             raise InvalidNetworkError("coupling matrix must be symmetric")
 
-        d = np.asarray(self.drive, dtype=complex)
+        d = np.array(self.drive, dtype=complex)
         if d.shape != (n,):
             raise InvalidNetworkError(f"drive must have shape ({n},), got {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if np.count_nonzero(np.isfinite(d)) != n:
             raise InvalidNetworkError("drive amplitudes must be finite")
 
-        object.__setattr__(self, "couplings", _as_readonly(c))
-        object.__setattr__(self, "drive", _as_readonly(d))
+        # diagonal of the mode matrix, frequency - 1j*decay
+        diagonal = np.array([complex(m.frequency, -m.decay) for m in modes])
+        decays = -diagonal.imag
+        for a in (c, d, diagonal, decays):
+            a.setflags(write=False)
+        driven = int(np.abs(d).argmax())  # ties: first in order
+        vars(self).update(  # a frozen dataclass refuses plain attribute writes
+            modes=modes,
+            couplings=c,
+            drive=d,
+            _labels=labels,
+            _frequencies=diagonal.real,
+            _decays=decays,
+            _diagonal=diagonal,
+            _driven=driven if d[driven] else None,
+        )
 
     def __len__(self) -> int:
         return len(self.modes)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
+        return self._labels
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.array([m.frequency for m in self.modes])
+        return self._frequencies
 
     @property
     def decays(self) -> np.ndarray:
-        return np.array([m.decay for m in self.modes])
+        return self._decays
+
+    @property
+    def emitter_mask(self) -> np.ndarray:
+        """Boolean mask of the emitter modes, in mode order: the modes that
+        motional perturbations shift and whose couplings they scale."""
+        return np.array([m.kind == "emitter" for m in self.modes])
 
     def index(self, label: str) -> int:
-        for i, m in enumerate(self.modes):
-            if m.label == label:
-                return i
-        raise KeyError(f"no mode labelled {label!r} (have {self.labels})")
+        try:
+            return self._labels.index(label)
+        except ValueError:
+            raise KeyError(f"no mode labelled {label!r} (have {self.labels})") from None
 
     def driven_label(self) -> str:
         """Label of the most strongly driven mode (ties: first in order)."""
-        d = np.abs(self.drive)
-        if not d.any():
+        if self._driven is None:
             raise InvalidNetworkError("drive vector is identically zero")
-        return self.modes[int(np.argmax(d))].label
+        return self._labels[self._driven]
 
     def with_drive_on(self, label: str, amplitude: complex = 1.0) -> "ModeNetwork":
         """Copy of the network driven only on ``label`` with ``amplitude``."""
         d = np.zeros(len(self), dtype=complex)
         d[self.index(label)] = amplitude
         return replace(self, drive=d)
-
-    def with_emitter_perturbation(
-        self, coupling_scale: float, frequency_shifts: dict[str, float]
-    ) -> "ModeNetwork":
-        """Scale all emitter couplings and shift emitter frequencies.
-
-        Every coupling touching at least one emitter mode is multiplied by
-        ``coupling_scale``; emitter frequencies are shifted by the entries of
-        ``frequency_shifts`` (labels not listed are left alone).  Used by the
-        motional-ensemble averaging in :mod:`antires.spectra`.
-        """
-        is_em = np.array([m.kind == "emitter" for m in self.modes])
-        mask = is_em[:, None] | is_em[None, :]
-        c = np.where(mask, coupling_scale * self.couplings, self.couplings)
-        modes = tuple(
-            replace(m, frequency=m.frequency + frequency_shifts.get(m.label, 0.0))
-            if m.kind == "emitter"
-            else m
-            for m in self.modes
-        )
-        return replace(self, modes=modes, couplings=c)
 
 
 @dataclass(frozen=True)
@@ -219,15 +222,31 @@ class SteadyState:
         return complex(self.amplitudes[self.labels.index(label)])
 
 
+def _mode_matrix(network: ModeNetwork) -> np.ndarray:
+    """Mode matrix ``A = diag(frequency - 1j*decay) + couplings``.
+
+    Poles are ``eig(A)``, zeros its principal minors' eigenvalues, and the
+    steady state solves ``(probe*I - A) @ a = drive``.
+    """
+    a = network.couplings.astype(complex)
+    a.ravel()[:: len(network) + 1] = network._diagonal
+    return a
+
+
 def build_dynamical_matrix(network: ModeNetwork, probe: float) -> np.ndarray:
-    """Dense complex matrix M(probe) of the linear steady-state equations."""
-    m = -network.couplings.astype(complex)
-    np.fill_diagonal(m, (probe - network.frequencies) + 1j * network.decays)
+    """Dense complex matrix ``M(probe) = probe*I - A`` of the linear
+    steady-state equations, assembled without forming ``A`` first."""
+    m = np.negative(network.couplings, dtype=complex)
+    m.ravel()[:: len(network) + 1] = probe - network._diagonal
     return m
 
 
 def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
-    """Solve M(probe) @ a = drive for the complex mode amplitudes."""
+    """Solve M(probe) @ a = drive for the complex mode amplitudes.
+
+    The one-member, one-probe case of :func:`steady_state_family`, without
+    its stacking overhead.
+    """
     network.driven_label()  # validates the drive is not identically zero
     m = build_dynamical_matrix(network, probe)
     try:
@@ -237,25 +256,76 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     return SteadyState(probe=float(probe), labels=network.labels, amplitudes=amps)
 
 
+def family_chunk(probes: int, n_modes: int) -> int:
+    """Family members per stacked solve: keeps the response matrices of
+    ``members x probes`` systems of size ``n_modes`` under the module bound
+    (at least one member)."""
+    return max(1, _CHUNK_BYTES // (16 * max(probes, 1) * n_modes * n_modes))
+
+
+def steady_state_family(
+    network: ModeNetwork,
+    freq_shifts: np.ndarray,
+    coupling_scale: np.ndarray,
+    probes: np.ndarray,
+) -> np.ndarray:
+    """Steady-state amplitudes of a family of perturbed copies of ``network``.
+
+    Member ``b`` shifts every mode frequency by ``freq_shifts[b]`` (shape
+    ``(B, n_modes)``) and multiplies every coupling touching an emitter mode
+    by ``coupling_scale[b]`` (shape ``(B,)``).  Returns a complex array of
+    shape ``(B, len(probes), n_modes)``.  Members are solved in stacked
+    chunks of :func:`family_chunk` members; each member's result is
+    bit-identical to solving its perturbed network on its own.
+    """
+    network.driven_label()
+    shifts = np.asarray(freq_shifts, dtype=float)
+    scales = np.asarray(coupling_scale, dtype=float)
+    probes = np.asarray(probes, dtype=float).ravel()
+    n = len(network)
+    if shifts.ndim != 2 or shifts.shape[1] != n or scales.shape != shifts.shape[:1]:
+        raise ValueError(
+            f"freq_shifts must be (B, {n}) and coupling_scale (B,), got "
+            f"{shifts.shape} and {scales.shape}"
+        )
+    emitter = network.emitter_mask
+    rows, cols = np.nonzero((emitter[:, None] | emitter[None, :]) & ~np.eye(n, dtype=bool))
+
+    a = np.repeat(_mode_matrix(network)[None], len(scales), axis=0)
+    a.reshape(len(scales), n * n)[:, :: n + 1] += shifts
+    a[:, rows, cols] *= scales[:, None]
+
+    step = family_chunk(probes.size, n)
+    out = np.empty((len(scales), probes.size, n), dtype=complex)
+    for lo in range(0, len(scales), step):
+        out[lo : lo + step] = _solve_stacked(a[lo : lo + step], probes, network.drive)
+    return out
+
+
+def _solve_stacked(a: np.ndarray, probes: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Solve ``(probe*I - a[b]) @ x = drive`` for every member and probe.
+
+    A function of its own so the stacked matrices are freed before the
+    caller copies the result out: peak memory is one chunk plus its result.
+    """
+    b, n, _ = a.shape
+    ms = np.repeat(-a[:, None], probes.size, axis=1)
+    ms.reshape(b, probes.size, n * n)[..., :: n + 1] += probes[:, None]
+    rhs = np.broadcast_to(drive, ms.shape[:-1])[..., None]
+    try:
+        return np.linalg.solve(ms, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - strictly lossy => regular
+        raise SingularResponseError("singular response matrix in family solve") from exc
+
+
 def steady_state_batch(network: ModeNetwork, probes: np.ndarray) -> np.ndarray:
     """Steady-state amplitudes for many probe frequencies at once.
 
-    Returns a complex array of shape ``(len(probes), n_modes)``.  The solve
-    is stacked so numpy's batched LAPACK path does the heavy lifting.
+    Returns a complex array of shape ``(len(probes), n_modes)``: the
+    unperturbed one-member view of :func:`steady_state_family`.
     """
-    network.driven_label()
-    probes = np.asarray(probes, dtype=float)
     n = len(network)
-    base = -network.couplings.astype(complex)
-    diag = 1j * network.decays - network.frequencies
-    ms = np.broadcast_to(base, (probes.size, n, n)).copy()
-    idx = np.arange(n)
-    ms[:, idx, idx] = probes[:, None] + diag[None, :]
-    try:
-        sols = np.linalg.solve(ms, np.broadcast_to(network.drive, (probes.size, n))[..., None])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularResponseError("singular response matrix in batch solve") from exc
-    return sols[..., 0]
+    return steady_state_family(network, np.zeros((1, n)), np.ones(1), probes)[0]
 
 
 def closed_form_two_mode(
@@ -272,12 +342,12 @@ def closed_form_two_mode(
     resonator.  Broadcasts over array arguments.  This closed form is the
     independent cross-check for the generic matrix solve.
     """
-    num = eta * (np.asarray(delta_pe) + 1j * gamma)
-    den = (np.asarray(delta_pe) + 1j * gamma) * (np.asarray(delta_pr) + 1j * kappa) - g * g
-    out = num / den
-    if np.isscalar(delta_pe) and np.isscalar(delta_pr):
-        return complex(out)
-    return out
+    scalar = np.isscalar(delta_pe) and np.isscalar(delta_pr)
+    # numpy scalars do the same arithmetic as 0-d arrays without their per-op overhead
+    as_number = np.float64 if scalar else np.asarray
+    emitter = as_number(delta_pe) + 1j * gamma
+    out = eta * emitter / (emitter * (as_number(delta_pr) + 1j * kappa) - g * g)
+    return complex(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,23 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .network import ModeNetwork, ProbeGrid, steady_state_batch
+from .network import (
+    ModeNetwork,
+    ProbeGrid,
+    _mode_matrix,
+    family_chunk,
+    steady_state_batch,
+    steady_state_family,
+)
 
 _MAG_FLOOR = 1e-300  # keeps log magnitudes finite at an exact zero crossing
+_MIN_ACCEPTANCE = 1e-6  # smallest truncation-window probability a MotionEnsemble accepts
 
 
 class AmbiguityError(RuntimeError):
@@ -134,9 +139,7 @@ def resonances(network: ModeNetwork) -> list[ResonancePole]:
     eigenvalues (within 1e-6 in both center and width) are merged with a
     multiplicity count.
     """
-    a = np.diag(network.frequencies - 1j * network.decays).astype(complex)
-    a += network.couplings
-    vals = np.linalg.eigvals(a)
+    vals = np.linalg.eigvals(_mode_matrix(network))
     return [ResonancePole(c, w, m) for c, w, m in _group_eigenvalues(vals)]
 
 
@@ -152,9 +155,7 @@ def antiresonances(network: ModeNetwork, drive_label: str) -> list[Antiresonance
     keep = [j for j in range(len(network)) if j != i]
     if not keep:
         return []
-    a = np.diag(network.frequencies - 1j * network.decays).astype(complex)
-    a += network.couplings
-    sub = a[np.ix_(keep, keep)]
+    sub = _mode_matrix(network)[np.ix_(keep, keep)]
     vals = np.linalg.eigvals(sub)
     out = []
     for c, w, m in _group_eigenvalues(vals):
@@ -366,6 +367,8 @@ def detect_antiresonances_numeric(
     ~10 points per half-width; coarser grids degrade the initial estimates
     the refinement starts from.
     """
+    from scipy.signal import find_peaks  # imported here: scipy.signal dominates import time
+
     probes = spectrum.probes
     col = spectrum.column(drive_label)
     logmag = 20.0 * np.log10(np.maximum(np.abs(col), _MAG_FLOOR))
@@ -426,6 +429,8 @@ class MotionEnsemble:
 
     Defaults reproduce the phase-swing compression seen on the reference
     emitter/resonator system: full contrast 150 deg reduced to ~140 deg.
+    A window the Gaussian reaches with probability below 1e-6 is rejected
+    at construction, since rejection sampling could not leave it.
     """
 
     scale_mean: float = 0.80
@@ -442,13 +447,27 @@ class MotionEnsemble:
                 f"scale_bounds must satisfy 0 < lo < hi <= 1 (a coupling can only be "
                 f"reduced), got {self.scale_bounds}"
             )
-        if self.scale_sigma < 0.0 or self.frequency_jitter < 0.0:
+        if not (self.scale_sigma >= 0.0 and self.frequency_jitter >= 0.0):
             raise ValueError("spread parameters must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        if self.scale_sigma > 0.0:
+            # the rejection sampler needs ~1/acceptance normal draws per member
+            spread = self.scale_sigma * math.sqrt(2.0)
+            acceptance = 0.5 * (
+                math.erf((hi - self.scale_mean) / spread) - math.erf((lo - self.scale_mean) / spread)
+            )
+            if not acceptance >= _MIN_ACCEPTANCE:
+                raise ValueError(
+                    f"scale window {self.scale_bounds} is unreachable from "
+                    f"N({self.scale_mean}, {self.scale_sigma}): acceptance "
+                    f"{acceptance:.3g} < {_MIN_ACCEPTANCE:g}"
+                )
 
-    def draw(self, network: ModeNetwork, index: int) -> ModeNetwork:
-        """The ``index``-th perturbed network; deterministic in (seed, index)."""
+    def _member(self, index: int, emitters: int) -> tuple[float, np.ndarray]:
+        """Coupling scale and emitter shifts of member ``index``, drawn from
+        ``SeedSequence((seed, index))``: the scale first, then one shift per
+        emitter in mode order."""
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, index)))
         lo, hi = self.scale_bounds
         if self.scale_sigma == 0.0:
@@ -458,45 +477,76 @@ class MotionEnsemble:
                 scale = rng.normal(self.scale_mean, self.scale_sigma)
                 if lo < scale <= hi:
                     break
-        shifts = {
-            m.label: rng.normal(0.0, self.frequency_jitter) if self.frequency_jitter else 0.0
+        if self.frequency_jitter:
+            return scale, rng.normal(0.0, self.frequency_jitter, size=emitters)
+        return scale, np.zeros(emitters)
+
+    def members(self, network: ModeNetwork) -> tuple[np.ndarray, np.ndarray]:
+        """Coupling scales ``(samples,)`` and frequency shifts ``(samples, N)``
+        of every member: the family arrays of :func:`steady_state_family`."""
+        emitter = network.emitter_mask
+        emitters = int(emitter.sum())
+        scales = np.empty(self.samples)
+        shifts = np.zeros((self.samples, len(network)))
+        for k in range(self.samples):
+            scales[k], shifts[k, emitter] = self._member(k, emitters)
+        return scales, shifts
+
+    def draw(self, network: ModeNetwork, index: int) -> ModeNetwork:
+        """The ``index``-th perturbed network; deterministic in (seed, index).
+
+        A one-member view of :meth:`members`: every coupling touching an
+        emitter is scaled and every emitter frequency shifted.
+        """
+        emitter = network.emitter_mask
+        scale, shifts = self._member(index, int(emitter.sum()))
+        touched = emitter[:, None] | emitter[None, :]
+        couplings = np.where(touched, scale * network.couplings, network.couplings)
+        shift = iter(shifts.tolist())
+        modes = tuple(
+            replace(m, frequency=m.frequency + next(shift)) if m.kind == "emitter" else m
             for m in network.modes
-            if m.kind == "emitter"
-        }
-        return network.with_emitter_perturbation(scale, shifts)
+        )
+        return replace(network, modes=modes, couplings=couplings)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ANTIRES_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"ANTIRES_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"ANTIRES_THREADS must be >= 1, got {n}")
-    return n
+def ensemble_mean_family(
+    network: ModeNetwork,
+    freq_offsets: np.ndarray,
+    probes: np.ndarray,
+    ensemble: MotionEnsemble,
+) -> np.ndarray:
+    """Ensemble means for ``G`` copies of ``network``, shape ``(G, P, N)``.
 
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; threads if ANTIRES_THREADS > 1 (numpy releases the GIL)."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    Copy ``g`` offsets every mode frequency by ``freq_offsets[g]`` (shape
+    ``(G, N)``) before the members' shifts apply, so all copies share the
+    same ensemble draws.  Members are solved in bounded chunks and summed
+    in member order, which keeps the result bit-identical to averaging the
+    members one by one.
+    """
+    probes = np.asarray(probes, dtype=float).ravel()
+    offsets = np.asarray(freq_offsets, dtype=float)
+    copies, n = offsets.shape
+    scales, shifts = ensemble.members(network)
+    step = max(1, family_chunk(probes.size, n) // copies)
+    total = np.zeros((copies, probes.size, n), dtype=complex)
+    for lo in range(0, ensemble.samples, step):
+        sl = slice(lo, lo + step)
+        members = len(scales[sl])
+        family_shifts = (offsets[:, None, :] + shifts[None, sl]).reshape(-1, n)
+        family_scales = np.tile(scales[sl], copies)
+        amps = steady_state_family(network, family_shifts, family_scales, probes)
+        amps = amps.reshape(copies, members, probes.size, n)
+        for k in range(members):
+            total += amps[:, k]
+    return total / ensemble.samples
 
 
 def ensemble_mean_amplitudes(
     network: ModeNetwork, probes: np.ndarray, ensemble: MotionEnsemble
 ) -> np.ndarray:
     """Mean complex amplitudes over the motional ensemble, shape (P, N)."""
-    probes = np.asarray(probes, dtype=float)
-
-    def one(k: int) -> np.ndarray:
-        return steady_state_batch(ensemble.draw(network, k), probes)
-
-    chunks = _map_ordered(one, range(ensemble.samples))
-    return np.mean(chunks, axis=0)
+    return ensemble_mean_family(network, np.zeros((1, len(network))), probes, ensemble)[0]
 
 
 def motion_average(

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from antires.cli import main
-from antires.network import ModeNetwork, Mode, ProbeGrid, save_network
+from antires.network import ModeNetwork, Mode, ProbeGrid, save_network, steady_state
 from antires.presets import emitter_resonator
-from antires.spectra import read_spectrum_csv, sweep
+from antires.spectra import MotionEnsemble, ensemble_mean_amplitudes, read_spectrum_csv, sweep
 
 
 def run_cli(*argv):
@@ -147,6 +147,33 @@ def test_stark_scan_with_motion(tmp_path):
     assert report["span_deg"] < 148.0
     assert report["span_deg"] > 125.0
     assert report["motion_enabled"] is True
+
+
+@pytest.mark.parametrize("motion", [True, False])
+def test_stark_scan_matches_per_power_solves(tmp_path, motion):
+    cfg = write_config(
+        tmp_path, {"motion": {"enabled": motion, "samples": 24}, "powers": {"points": 9}}
+    )
+    out = tmp_path / "run"
+    code, _ = run_cli("stark-scan", "--config", cfg, "--out", str(out), "--seed", "7")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "stark_scan.csv").read_text().splitlines()[1:]]
+    ensemble = MotionEnsemble(samples=24, seed=7)
+    amps = []
+    for _, detuning, _ in rows:
+        net = emitter_resonator(delta_er=-float(detuning))
+        if motion:
+            amps.append(ensemble_mean_amplitudes(net, np.array([0.0]), ensemble)[0, 0])
+        else:
+            amps.append(steady_state(net, 0.0).amplitude("cavity"))
+    phase = np.degrees(np.unwrap(np.angle(np.asarray(amps))))
+    assert [r[2] for r in rows] == [f"{v:.17g}" for v in phase]
+
+
+def test_stark_scan_unreachable_motion_window_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"motion": {"scale_mean": 0.1, "scale_sigma": 0.01}})
+    code, _ = run_cli("stark-scan", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert code == 2
 
 
 # ------------------------------------------------------------ characterize

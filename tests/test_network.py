@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antires import network as network_module
 from antires.network import (
     InvalidNetworkError,
     Mode,
@@ -12,13 +14,16 @@ from antires.network import (
     ProbeGrid,
     build_dynamical_matrix,
     closed_form_two_mode,
+    family_chunk,
     load_network,
     network_from_dict,
     network_to_dict,
     save_network,
     steady_state,
     steady_state_batch,
+    steady_state_family,
 )
+from antires.presets import emitter_resonator, five_node_demo
 
 from helpers import two_mode_network
 
@@ -172,6 +177,77 @@ def test_batch_matches_loop_of_single_solves():
     for k, probe in enumerate(probes):
         single = steady_state(net, probe=probe)
         np.testing.assert_array_equal(batch[k], single.amplitudes)
+
+
+# ------------------------------------------------------------ family solve
+
+
+def _one_emitter_five_node():
+    net = five_node_demo()
+    modes = tuple(replace(m, kind="emitter") if m.label == "n2" else m for m in net.modes)
+    return replace(net, modes=modes)
+
+
+FAMILY_NETWORKS = {
+    "two-mode": emitter_resonator,
+    "five-node-one-emitter": _one_emitter_five_node,
+    "no-emitter": five_node_demo,
+}
+
+
+def _perturbed_by_hand(net, shifts, scale):
+    """Member network built mode by mode: the reference for the family core."""
+    n = len(net)
+    emitter = [m.kind == "emitter" for m in net.modes]
+    c = np.array(
+        [
+            [scale * net.couplings[j, k] if emitter[j] or emitter[k] else net.couplings[j, k]
+             for k in range(n)]
+            for j in range(n)
+        ]
+    )
+    modes = tuple(replace(m, frequency=m.frequency + float(s)) for m, s in zip(net.modes, shifts))
+    return ModeNetwork(modes, c, net.drive)
+
+
+def _family_inputs(net, members, seed=11):
+    rng = np.random.default_rng(seed)
+    shifts = rng.normal(0.0, 2.0, size=(members, len(net)))
+    scales = rng.uniform(0.5, 1.0, size=members)
+    return shifts, scales
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_NETWORKS))
+def test_family_is_bit_identical_to_per_member_networks(name):
+    net = FAMILY_NETWORKS[name]()
+    probes = np.linspace(-30.0, 30.0, 61)
+    shifts, scales = _family_inputs(net, 9)
+    family = steady_state_family(net, shifts, scales, probes)
+    assert family.shape == (9, probes.size, len(net))
+    for b in range(9):
+        member = _perturbed_by_hand(net, shifts[b], scales[b])
+        np.testing.assert_array_equal(family[b], steady_state_batch(member, probes))
+        np.testing.assert_array_equal(family[b, 17], steady_state(member, probes[17]).amplitudes)
+
+
+def test_family_chunking_does_not_change_results(monkeypatch):
+    net = _one_emitter_five_node()
+    probes = np.linspace(-30.0, 30.0, 41)
+    shifts, scales = _family_inputs(net, 10)
+    whole = steady_state_family(net, shifts, scales, probes)
+    assert family_chunk(probes.size, len(net)) >= 10
+    # three members per chunk: 10 members leave a partial last chunk
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 3 * 16 * probes.size * len(net) ** 2)
+    assert family_chunk(probes.size, len(net)) == 3
+    np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), whole)
+
+
+def test_family_rejects_mismatched_member_arrays():
+    net = emitter_resonator()
+    with pytest.raises(ValueError):
+        steady_state_family(net, np.zeros((3, 3)), np.ones(3), [0.0])
+    with pytest.raises(ValueError):
+        steady_state_family(net, np.zeros((3, 2)), np.ones(2), [0.0])
 
 
 def test_probe_grid_step_and_frequencies():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from antires import network as network_module
 from antires.network import Mode, ModeNetwork, ProbeGrid, steady_state_batch
 from antires.presets import emitter_resonator, five_node_demo
 from antires.spectra import (
@@ -402,6 +403,48 @@ def test_scale_bounds_validation():
         MotionEnsemble(scale_sigma=-0.1)
     with pytest.raises(ValueError):
         MotionEnsemble(samples=0)
+
+
+def test_draw_is_member_k_of_the_family_arrays():
+    net = emitter_resonator()
+    ens = MotionEnsemble(samples=16, seed=9)
+    scales, shifts = ens.members(net)
+    assert scales.shape == (16,) and shifts.shape == (16, 2)
+    assert np.all(shifts[:, 0] == 0.0)  # the resonator never moves
+    for k in (0, 5, 15):
+        # member k's stream: the scale by rejection first, then the emitter shift
+        rng = np.random.default_rng(np.random.SeedSequence((9, k)))
+        scale = rng.normal(0.8, 0.12)
+        while not 0.5 < scale <= 1.0:
+            scale = rng.normal(0.8, 0.12)
+        assert (scales[k], shifts[k, 1]) == (scale, rng.normal(0.0, 1.0))
+        drawn = ens.draw(net, k)
+        assert drawn.couplings[0, 1] == scales[k] * net.couplings[0, 1]
+        np.testing.assert_array_equal(drawn.frequencies, net.frequencies + shifts[k])
+
+
+def test_ensemble_mean_is_bit_identical_to_averaging_drawn_networks(monkeypatch):
+    net = emitter_resonator()
+    ens = MotionEnsemble(samples=11, seed=4)
+    probes = np.linspace(-10.0, 10.0, 51)
+    reference = np.mean([steady_state_batch(ens.draw(net, k), probes) for k in range(11)], axis=0)
+    np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
+    # four members per chunk: 11 members leave a partial last chunk
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 4 * 16 * probes.size * 2**2)
+    np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
+
+
+def test_unreachable_truncation_window_is_rejected():
+    # N(0.1, 0.01) essentially never lands in (0.5, 1]: rejection sampling would spin forever
+    with pytest.raises(ValueError, match="unreachable"):
+        MotionEnsemble(scale_mean=0.1, scale_sigma=0.01, scale_bounds=(0.5, 1.0))
+    with pytest.raises(ValueError, match="unreachable"):
+        MotionEnsemble(scale_mean=math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        MotionEnsemble(scale_sigma=math.nan)
+    # a narrow window that is still reachable keeps the rejection sampler
+    MotionEnsemble(scale_mean=0.3, scale_sigma=0.05, scale_bounds=(0.5, 1.0))
+    MotionEnsemble(scale_mean=0.1, scale_sigma=0.0, scale_bounds=(0.5, 1.0))  # clamped
 
 
 def test_thread_pool_reproduces_serial_result(monkeypatch):
