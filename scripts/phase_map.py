@@ -10,11 +10,11 @@ map to CSV for plotting elsewhere.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
 from antires.network import ProbeGrid
+from antires.output import write_csv
 from antires.presets import emitter_resonator
 from antires.spectra import antiresonances, detect_antiresonances_numeric, sweep
 
@@ -30,26 +30,30 @@ def main() -> None:
     detunings = np.linspace(-args.span, args.span, args.rows)
 
     print(f"{'detuning':>9} {'zero (alg)':>11} {'zero (fit)':>11} {'width':>8}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detuning_mhz", "probe_mhz", "phase_deg", "magnitude"])
-        for d in detunings:
-            # emitter frequency is -d so that positive detuning pulls the
-            # zero to negative probe frequencies, matching the scan2d CLI
-            net = emitter_resonator(delta_er=-float(d))
-            spectrum = sweep(net, grid)
-            col = spectrum.amplitudes[:, net.index("cavity")]
-            phase = np.degrees(np.unwrap(np.angle(col)))
-            phase -= phase[0]
-            for p, ph, mag in zip(spectrum.probes, phase, np.abs(col)):
-                writer.writerow([f"{d:.17g}", f"{p:.17g}", f"{ph:.17g}", f"{mag:.17g}"])
+    phases, mags = [], []
+    for d in detunings:
+        # emitter frequency is -d so that positive detuning pulls the
+        # zero to negative probe frequencies, matching the scan2d CLI
+        net = emitter_resonator(delta_er=-float(d))
+        spectrum = sweep(net, grid)
+        col = spectrum.amplitudes[:, net.index("cavity")]
+        phase = np.degrees(np.unwrap(np.angle(col)))
+        phase -= phase[0]
+        phases.append(phase)
+        mags.append(np.abs(col))
 
-            (alg,) = antiresonances(net, "cavity")
-            detected = detect_antiresonances_numeric(spectrum, "cavity")
-            fit_c = detected[0].center if detected else float("nan")
-            fit_w = detected[0].half_width if detected else float("nan")
-            print(f"{d:9.2f} {alg.center:11.3f} {fit_c:11.3f} {fit_w:8.3f}")
+        (alg,) = antiresonances(net, "cavity")
+        detected = detect_antiresonances_numeric(spectrum, "cavity")
+        fit_c = detected[0].center if detected else float("nan")
+        fit_w = detected[0].half_width if detected else float("nan")
+        print(f"{d:9.2f} {alg.center:11.3f} {fit_c:11.3f} {fit_w:8.3f}")
 
+    write_csv(
+        args.out,
+        ["detuning_mhz", "probe_mhz", "phase_deg", "magnitude"],
+        [np.repeat(detunings, grid.points), np.tile(grid.frequencies(), args.rows),
+         np.ravel(phases), np.ravel(mags)],
+    )
     print(f"wrote {args.out} ({args.rows} rows x {grid.points} probe points)")
 
 

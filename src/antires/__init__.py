@@ -58,7 +58,6 @@ from .fitting import (
 from .heterodyne import (
     BeatNoteConfig,
     ConfigError,
-    IQSample,
     LeakageWarning,
     accumulate_histogram,
     demodulate,

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a requested check failed, 2 bad usage or config,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -28,7 +27,6 @@ from .fitting import (
     fit_arctan_phase,
     fit_periodic_gaussian,
     stark_calibration,
-    write_fit_report,
 )
 from .heterodyne import (
     BeatNoteConfig,
@@ -46,7 +44,8 @@ from .network import (
     steady_state,
     steady_state_family,
 )
-from .oracle import JCParams, linear_limit_check, lindblad_steady_state
+from .output import write_csv, write_json
+from .oracle import GSquaredUndefinedError, JCParams, linear_limit_check, lindblad_steady_state
 from .presets import NETWORK_PRESETS, STARK_CALIBRATION_POINTS, emitter_resonator
 from .spectra import (
     AmbiguityError,
@@ -140,8 +139,32 @@ class ScenarioConfig:
 _PASSTHROUGH_KEYS = frozenset({"network_params"})
 
 
-def _merge(base: Any, override: Any) -> Any:
-    if isinstance(base, dict) and isinstance(override, dict):
+def _accepts(default: Any, value: Any) -> bool:
+    """Whether ``value`` has the JSON type of ``default``.
+
+    An int needs an int and a float takes an int or a float, never a bool;
+    a list's items are checked against the default's first item.  The one
+    null default (scan2d's detuning ``values``) takes null or a list of
+    numbers.
+    """
+    if default is None:
+        return value is None or _accepts([0.0], value)
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_accepts(default[0], v) for v in value)
+    return isinstance(value, type(default))
+
+
+def _merge(base: Any, override: Any, key: str = "config") -> Any:
+    """``override`` merged over ``base``; each value must match its default's type."""
+    if isinstance(base, dict):
+        if not isinstance(override, dict):
+            raise ConfigError(f"config key {key!r} must hold a JSON object")
         unknown = set(override) - set(base)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)} (known: {sorted(base)})")
@@ -154,8 +177,12 @@ def _merge(base: Any, override: Any) -> Any:
                     raise ConfigError(f"config key {k!r} must hold a JSON object")
                 merged[k] = {**base[k], **override[k]}
             else:
-                merged[k] = _merge(base[k], override[k])
+                merged[k] = _merge(base[k], override[k], k)
         return merged
+    if not _accepts(base, override):
+        raise ConfigError(
+            f"config key {key!r} must match the type of its default {base!r}, got {override!r}"
+        )
     return override
 
 
@@ -180,16 +207,20 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
+def _preset(name: str, params: dict) -> ModeNetwork:
+    try:
+        return NETWORK_PRESETS[name](**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad network_params for preset {name!r}: {exc}")
+
+
 def _resolve_network(options: dict) -> ModeNetwork:
     name = options.get("network", "emitter-resonator")
     params = options.get("network_params", {})
     if name in NETWORK_PRESETS:
-        try:
-            return NETWORK_PRESETS[name](**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad network_params for preset {name!r}: {exc}")
+        return _preset(name, params)
     path = Path(name)
-    if path.exists():
+    if path.is_file():
         if params:
             raise ConfigError("network_params only apply to presets, not network files")
         return load_network(path)
@@ -214,10 +245,6 @@ def _emitter_offsets(network: ModeNetwork, detunings) -> np.ndarray:
     offsets = np.zeros((len(detunings), len(network)))
     offsets[:, network.emitter_mask] = -np.asarray(detunings, dtype=float)[:, None]
     return offsets
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt_zero(z) -> str:
@@ -249,7 +276,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     report["network"] = network_to_dict(net)
     report["grid"] = {"start": grid.start, "stop": grid.stop, "points": grid.points}
     report["motion_enabled"] = bool(opts["motion"]["enabled"])
-    _write_json(report, cfg.out_dir / "spectrum_report.json")
+    write_json(report, cfg.out_dir / "spectrum_report.json")
 
     print(f"spectrum: {len(net)} modes, drive on {drive_label!r}, grid "
           f"[{grid.start}, {grid.stop}] x {grid.points}")
@@ -278,21 +305,22 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
     else:
         rows = np.linspace(det["start"], det["stop"], int(det["points"])).tolist()
 
-    base = emitter_resonator(delta_er=0.0, **opts["network_params"])
+    base = _preset("emitter-resonator", {"delta_er": 0.0, **opts["network_params"]})
     drive_label = base.driven_label()
     amps = steady_state_family(
         base, _emitter_offsets(base, rows), np.ones(len(rows)), grid.frequencies()
     )
 
     row_reports = []
-    csv_rows = []  # (detuning, phase_deg, magnitude) arrays, one entry per row
+    phase_rows, mag_rows = [], []
     max_abs_phase = 0.0
     for d, row_amps in zip(rows, amps):
         spectrum = ComplexSpectrum(grid=grid, labels=base.labels, amplitudes=row_amps)
         phase_deg = np.degrees(spectrum.phase_unwrapped(drive_label))
         mag = spectrum.magnitude(drive_label)
         max_abs_phase = max(max_abs_phase, float(np.max(np.abs(phase_deg))))
-        csv_rows.append((d, phase_deg, mag))
+        phase_rows.append(phase_deg)
+        mag_rows.append(mag)
         zeros = [z for z in detect_antiresonances_numeric(spectrum, drive_label,
                                                           opts["prominence_db"])
                  if not z.at_boundary]
@@ -315,12 +343,12 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
                 "within_one_step": False,
             })
 
-    with open(cfg.out_dir / "scan2d.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detuning_mhz", "probe_mhz", "phase_deg", "magnitude"])
-        for d, phase_deg, mag in csv_rows:
-            for p, ph, m in zip(grid.frequencies(), phase_deg, mag):
-                writer.writerow([f"{v:.17g}" for v in (d, p, ph, m)])
+    write_csv(
+        cfg.out_dir / "scan2d.csv",
+        ["detuning_mhz", "probe_mhz", "phase_deg", "magnitude"],
+        [np.repeat(rows, grid.points), np.tile(grid.frequencies(), len(rows)),
+         np.ravel(phase_rows), np.ravel(mag_rows)],
+    )
 
     all_within = all(r["within_one_step"] for r in row_reports)
     report = {
@@ -330,7 +358,7 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
         "max_abs_phase_deg": max_abs_phase,
         "phase_bounded": bool(max_abs_phase <= 180.0 + 1e-6),
     }
-    _write_json(report, cfg.out_dir / "scan2d_report.json")
+    write_json(report, cfg.out_dir / "scan2d_report.json")
 
     print(f"scan2d: {len(rows)} detuning rows x {grid.points} probe points")
     print(f"zero centers track -detuning within one grid step ({grid.step:.3g} MHz): "
@@ -351,7 +379,7 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
     if "delta_er" in opts["network_params"]:
         raise ConfigError("stark-scan sets the emitter frequency per power; drop delta_er")
     motion = opts["motion"]["enabled"]
-    base = emitter_resonator(delta_er=0.0, **opts["network_params"])
+    base = _preset("emitter-resonator", {"delta_er": 0.0, **opts["network_params"]})
     idx = base.index(base.driven_label())
     offsets = _emitter_offsets(base, detunings)
     if motion:
@@ -363,17 +391,14 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
 
     fit = fit_arctan_phase(detunings, phase_deg, background=opts["fit"]["background"])
 
-    with open(cfg.out_dir / "stark_scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["power_nw", "induced_detuning_mhz", "phase_deg"])
-        for p, d, ph in zip(powers, detunings, phase_deg):
-            writer.writerow([f"{v:.17g}" for v in (p, d, ph)])
+    write_csv(cfg.out_dir / "stark_scan.csv", ["power_nw", "induced_detuning_mhz", "phase_deg"],
+              [powers, detunings, phase_deg])
 
     report = fit.to_report()
     report["calibration"] = cal.to_report()
     report["motion_enabled"] = bool(motion)
     report["n_powers"] = int(powers.size)
-    write_fit_report(report, cfg.out_dir / "stark_fit.json")
+    write_json(report, cfg.out_dir / "stark_fit.json")
 
     print(f"stark-scan: {powers.size} powers "
           f"[{pw['start_nw']:.0f}, {pw['stop_nw']:.0f}] nW -> detunings "
@@ -423,7 +448,7 @@ def cmd_characterize(cfg: ScenarioConfig) -> int:
         print(f"AMBIGUOUS: tied candidates {exc.candidates}")
         report["ambiguous_candidates"] = list(exc.candidates)
         report["mean_half_widths_mhz"] = exc.widths
-        _write_json(report, cfg.out_dir / "characterize_report.json")
+        write_json(report, cfg.out_dir / "characterize_report.json")
         print(f"wrote {cfg.out_dir / 'characterize_report.json'}")
         return 3
 
@@ -434,7 +459,7 @@ def cmd_characterize(cfg: ScenarioConfig) -> int:
         "lossiest": verdict.label,
         "mean_half_widths_mhz": verdict.mean_widths,
     }
-    _write_json(report, cfg.out_dir / "characterize_report.json")
+    write_json(report, cfg.out_dir / "characterize_report.json")
     print(f"wrote {cfg.out_dir / 'characterize_report.json'}")
     return 0
 
@@ -483,7 +508,7 @@ def cmd_oracle_check(cfg: ScenarioConfig) -> int:
         },
         "pass": bool(ok),
     }
-    _write_json(report, cfg.out_dir / "oracle_report.json")
+    write_json(report, cfg.out_dir / "oracle_report.json")
 
     print("oracle-check: exact quantum steady state vs linear coupled-mode model")
     for r, d in zip(limit.eta_over_kappa, limit.deviations):
@@ -502,7 +527,7 @@ def cmd_oracle_check(cfg: ScenarioConfig) -> int:
 
 def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
     opts = cfg.options
-    net = emitter_resonator(**{"delta_er": -3.0, **opts["network_params"]})
+    net = _preset("emitter-resonator", {"delta_er": -3.0, **opts["network_params"]})
     idx = net.index(net.driven_label())
     kappa = net.modes[idx].decay
     probe_points = [float(p) for p in opts["probe_points"]]
@@ -521,7 +546,7 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         return int(np.random.SeedSequence((cfg.seed, point, channel)).generate_state(1)[0])
 
     point_rows = []
-    hist_rows = []
+    hists = []
     all_within = True
     for k, probe in enumerate(probe_points):
         field_sys = steady_state(net, probe).amplitude(net.modes[idx].label)
@@ -547,21 +572,20 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         within = resid <= 3.0 * err
         all_within &= within
         point_rows.append((probe, model_diff, fit.mean_deg, fit.sigma_deg, err, within))
-        norm = hist.normalized()
-        for c, n, nn in zip(hist.centers, hist.counts, norm):
-            hist_rows.append((probe, c, n, nn))
+        hists.append(hist)
 
-    with open(cfg.out_dir / "heterodyne_points.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_mhz", "model_phase_deg", "fitted_mean_deg",
-                         "fitted_sigma_deg", "mean_err_deg", "within_3sigma"])
-        for row in point_rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    with open(cfg.out_dir / "heterodyne_histograms.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_mhz", "bin_center_deg", "count", "normalized"])
-        for row in hist_rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(
+        cfg.out_dir / "heterodyne_points.csv",
+        ["probe_mhz", "model_phase_deg", "fitted_mean_deg",
+         "fitted_sigma_deg", "mean_err_deg", "within_3sigma"],
+        list(zip(*point_rows)),
+    )
+    write_csv(
+        cfg.out_dir / "heterodyne_histograms.csv",
+        ["probe_mhz", "bin_center_deg", "count", "normalized"],
+        [np.repeat(probe_points, bins), np.ravel([h.centers for h in hists]),
+         np.ravel([h.counts for h in hists]), np.ravel([h.normalized() for h in hists])],
+    )
 
     report = {
         "beat": dict(opts["beat"]),
@@ -581,7 +605,7 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         ],
         "all_within_3sigma": bool(all_within),
     }
-    _write_json(report, cfg.out_dir / "heterodyne_report.json")
+    write_json(report, cfg.out_dir / "heterodyne_report.json")
 
     print(f"heterodyne-demo: {len(probe_points)} probe points, {windows} windows each, "
           f"SNR {opts['snr_per_window']:g} per window on the reference channel")
@@ -636,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_scenario(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidNetworkError, ValueError) as exc:
+    except (ConfigError, InvalidNetworkError, ValueError, GSquaredUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FitConvergenceError as exc:

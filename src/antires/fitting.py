@@ -8,10 +8,8 @@ raised exception instead of rerun under a debugger.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -317,16 +315,16 @@ def fit_arctan_phase(
 
     w_floor = span_x * 1e-9
 
+    def project(p: np.ndarray) -> np.ndarray:
+        q = p.copy()
+        q[1] = max(abs(q[1]), w_floor)
+        return q
+
     if background == "linear":
 
         def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
             c, w, s, o, m = p
             return o - (s / math.pi) * np.arctan((t - c) / w) + m * (t - c)
-
-        def project(p: np.ndarray) -> np.ndarray:
-            q = p.copy()
-            q[1] = max(abs(q[1]), w_floor)
-            return q
 
         p0 = [center0, width0, swing0, offset0, 0.0]
         names = 5
@@ -335,11 +333,6 @@ def fit_arctan_phase(
         def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
             c, w, s, o = p
             return o - (s / math.pi) * np.arctan((t - c) / w)
-
-        def project(p: np.ndarray) -> np.ndarray:
-            q = p.copy()
-            q[1] = max(abs(q[1]), w_floor)
-            return q
 
         p0 = [center0, width0, swing0, offset0]
         names = 4
@@ -598,7 +591,3 @@ def stark_calibration(
     slope, intercept = float(coef[0]), float(coef[1])
     resid = tuple(float(d - (slope * p + intercept)) for p, d in pts)
     return StarkCalibration(slope=slope, intercept=intercept, residuals=resid, points=pts)
-
-
-def write_fit_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -13,7 +13,6 @@ reference channel, so the arbitrary demodulation epoch cancels.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .fitting import PhaseHistogram
+from .output import write_csv
 
 
 class ConfigError(ValueError):
@@ -52,6 +52,10 @@ class BeatNoteConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("if_freq_mhz", "sample_rate_msps", "window_us", "reference_amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.if_freq_mhz <= 0.0:
             raise ConfigError(f"beat frequency must be positive, got {self.if_freq_mhz}")
         if self.sample_rate_msps <= 2.0 * self.if_freq_mhz:
@@ -71,7 +75,7 @@ class BeatNoteConfig:
             raise ConfigError(
                 f"window must hold an integer number (>= 2) of samples, got {n}"
             )
-        if self.snr_per_window is not None and self.snr_per_window <= 0.0:
+        if self.snr_per_window is not None and not self.snr_per_window > 0.0:
             raise ConfigError("snr_per_window must be positive (or None for noiseless)")
         if self.reference_amplitude <= 0.0:
             raise ConfigError("reference_amplitude must be positive")
@@ -91,17 +95,6 @@ class BeatNoteConfig:
             return 0.0
         n = self.samples_per_window
         return self.reference_amplitude * math.sqrt(n / 2.0) / self.snr_per_window
-
-
-@dataclass(frozen=True)
-class IQSample:
-    """Demodulated amplitude/phase of one window."""
-
-    window: int
-    i: float
-    q: float
-    amplitude: float
-    phase_rad: float
 
 
 def synthesize(field: complex, config: BeatNoteConfig, windows: int = 1) -> np.ndarray:
@@ -124,12 +117,13 @@ def synthesize(field: complex, config: BeatNoteConfig, windows: int = 1) -> np.n
     return trace
 
 
-def iq_windows(trace: np.ndarray, config: BeatNoteConfig) -> list[IQSample]:
-    """Boxcar IQ demodulation of each complete window in the trace.
+def iq_windows(trace: np.ndarray, config: BeatNoteConfig) -> np.ndarray:
+    """Boxcar IQ sums of each complete window in the trace.
 
-    Warns with :class:`LeakageWarning` when the window does not hold an
-    integer number of beat periods, in which case the quadrature sums leak
-    a bias of order 1/periods into amplitude and phase.
+    Returns a ``(windows, 2)`` array whose rows are the (I, Q) sums of one
+    window.  Warns with :class:`LeakageWarning` when the window does not
+    hold an integer number of beat periods, in which case the quadrature
+    sums leak a bias of order 1/periods into amplitude and phase.
     """
     trace = np.asarray(trace, dtype=float)
     n = config.samples_per_window
@@ -146,42 +140,21 @@ def iq_windows(trace: np.ndarray, config: BeatNoteConfig) -> list[IQSample]:
         )
     t = np.arange(n) / config.sample_rate_msps
     phase = 2.0 * math.pi * config.if_freq_mhz * t
-    cos_ref = np.cos(phase)
-    sin_ref = np.sin(phase)
-    out = []
-    for w in range(trace.size // n):
-        seg = trace[w * n : (w + 1) * n]
-        i = float(seg @ cos_ref)
-        q = float(seg @ sin_ref)
-        out.append(
-            IQSample(
-                window=w,
-                i=i,
-                q=q,
-                amplitude=2.0 * math.hypot(i, q) / n,
-                phase_rad=math.atan2(-q, i),
-            )
-        )
-    return out
+    segments = trace.reshape(-1, n)
+    return np.stack([segments @ np.cos(phase), segments @ np.sin(phase)], axis=1)
 
 
 def demodulate(trace: np.ndarray, config: BeatNoteConfig) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes and phases (radians) of every window in the trace."""
-    samples = iq_windows(trace, config)
-    return (
-        np.array([s.amplitude for s in samples]),
-        np.array([s.phase_rad for s in samples]),
-    )
+    iq = iq_windows(trace, config)
+    i, q = iq[:, 0], iq[:, 1]
+    return 2.0 * np.hypot(i, q) / config.samples_per_window, np.arctan2(-q, i)
 
 
 def write_trace_csv(trace: np.ndarray, config: BeatNoteConfig, path: str | Path) -> None:
     """Write a digitised trace as (t_us, current) rows."""
     t = np.arange(len(trace)) / config.sample_rate_msps
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_us", "current"])
-        for ti, vi in zip(t, np.asarray(trace, dtype=float)):
-            writer.writerow([f"{ti:.17g}", f"{vi:.17g}"])
+    write_csv(path, ["t_us", "current"], [t, np.asarray(trace, dtype=float)])
 
 
 def accumulate_histogram(

@@ -56,8 +56,14 @@ class JCParams:
     cutoff: int = 4
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0 or self.kappa <= 0.0:
-            raise ValueError("decay rates gamma and kappa must be positive")
+        for name in ("gamma", "kappa"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"decay rate {name} must be finite and positive, got {value}")
+        for name in ("g", "delta_pe", "delta_pr", "eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.eta < 0.0:
             raise ValueError("drive amplitude eta must be non-negative")
         if not isinstance(self.cutoff, int) or self.cutoff < 1:

@@ -31,6 +31,7 @@ from .network import (
     steady_state_batch,
     steady_state_family,
 )
+from .output import write_csv
 
 _MAG_FLOOR = 1e-300  # keeps log magnitudes finite at an exact zero crossing
 _MIN_ACCEPTANCE = 1e-6  # smallest truncation-window probability a MotionEnsemble accepts
@@ -367,6 +368,8 @@ def detect_antiresonances_numeric(
     ~10 points per half-width; coarser grids degrade the initial estimates
     the refinement starts from.
     """
+    if not (math.isfinite(prominence_db) and prominence_db >= 0.0):
+        raise ValueError(f"prominence_db must be finite and >= 0, got {prominence_db}")
     from scipy.signal import find_peaks  # imported here: scipy.signal dominates import time
 
     probes = spectrum.probes
@@ -447,8 +450,8 @@ class MotionEnsemble:
                 f"scale_bounds must satisfy 0 < lo < hi <= 1 (a coupling can only be "
                 f"reduced), got {self.scale_bounds}"
             )
-        if not (self.scale_sigma >= 0.0 and self.frequency_jitter >= 0.0):
-            raise ValueError("spread parameters must be non-negative")
+        if not (0.0 <= self.scale_sigma < math.inf and 0.0 <= self.frequency_jitter < math.inf):
+            raise ValueError("scale_sigma and frequency_jitter must be finite and non-negative")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.scale_sigma > 0.0:
@@ -528,7 +531,7 @@ def ensemble_mean_family(
     offsets = np.asarray(freq_offsets, dtype=float)
     copies, n = offsets.shape
     scales, shifts = ensemble.members(network)
-    step = max(1, family_chunk(probes.size, n) // copies)
+    step = max(1, family_chunk(probes.size, n) // max(copies, 1))
     total = np.zeros((copies, probes.size, n), dtype=complex)
     for lo in range(0, ensemble.samples, step):
         sl = slice(lo, lo + step)
@@ -623,8 +626,8 @@ def lossy_component_identify(
 # ---------------------------------------------------------------------------
 
 def write_spectrum_csv(spectrum: ComplexSpectrum, path: str | Path) -> None:
-    """Write the spectrum with all derived channels; floats carry 17
-    significant digits so the complex amplitudes round-trip exactly."""
+    """Write the spectrum with all derived channels, one row per probe;
+    :func:`read_spectrum_csv` reads the complex amplitudes back exactly."""
     header = ["probe_mhz"]
     for lab in spectrum.labels:
         header += [
@@ -644,12 +647,7 @@ def write_spectrum_csv(spectrum: ComplexSpectrum, path: str | Path) -> None:
             spectrum.excitation(lab),
             spectrum.phase_unwrapped(lab),
         ]
-    table = np.column_stack(cols)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, header, cols)
 
 
 def read_spectrum_csv(path: str | Path) -> ComplexSpectrum:

@@ -1,12 +1,16 @@
+import copy
 import io
 import json
+import math
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from antires.cli import main
+from antires.cli import DEFAULTS, main
 from antires.network import ModeNetwork, Mode, ProbeGrid, save_network, steady_state
 from antires.presets import emitter_resonator
 from antires.spectra import MotionEnsemble, ensemble_mean_amplitudes, read_spectrum_csv, sweep
@@ -277,6 +281,21 @@ def test_heterodyne_demo_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_heterodyne_points_csv_writes_booleans_as_words(tmp_path):
+    # at seed 0 this noisy, coarse run misses 3 sigma on the third point only
+    cfg = write_config(tmp_path, {"probe_points": [-20.0, -16.0, -10.0], "windows": 30,
+                                  "snr_per_window": 3.0, "bins": 36})
+    out = tmp_path / "run"
+    code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out), "--seed", "0")
+    assert code == 1
+    raw = (out / "heterodyne_points.csv").read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n") == 4
+    rows = [line.split(",") for line in raw.decode().split("\r\n")[1:-1]]
+    assert [r[-1] for r in rows] == ["True", "True", "False"]
+    report = json.loads((out / "heterodyne_report.json").read_text())
+    assert [p["within_3sigma"] for p in report["points"]] == [True, True, False]
+
+
 # ----------------------------------------------------------- error handling
 
 
@@ -297,10 +316,82 @@ def test_malformed_config_is_rejected(tmp_path):
     assert code == 2
 
 
-def test_missing_network_file_is_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"network": str(tmp_path / "nope.json")})
-    code, _ = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x"))
+@pytest.mark.parametrize("command, text, field", [
+    ("spectrum", '{"grid": {"points": 101.5}}', "points"),
+    ("spectrum", '{"grid": {"start": "a"}}', "start"),
+    ("spectrum", '{"grid": [1, 2]}', "grid"),
+    ("spectrum", '{"motion": {"enabled": 1}}', "enabled"),
+    ("stark-scan", '{"calibration_points": [[1400.0, "12"]]}', "calibration_points"),
+    ("spectrum", '{"prominence_db": -5}', "prominence_db"),
+    ("oracle-check", '{"gamma": NaN}', "gamma"),
+    ("oracle-check", '{"g2_eta_over_kappa": 0.0}', "eta"),
+    ("scan2d", '{"network_params": {"bogus": 1.0}}', "network_params"),
+    ("heterodyne-demo", '{"network_params": {"delta_er": "a"}}', "network_params"),
+    ("stark-scan", '{"powers": {"points": 0}}', "points"),
+    ("stark-scan", '{"motion": {"frequency_jitter": Infinity}}', "frequency_jitter"),
+    ("heterodyne-demo", '{"beat": {"sample_rate_msps": Infinity}}', "sample_rate_msps"),
+])
+def test_bad_config_values_exit_2_naming_the_field(tmp_path, command, text, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
+    assert field in err.getvalue()
+
+
+def _leaves(tree, path=()):
+    if isinstance(tree, dict) and tree:
+        for key, value in tree.items():
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+# Small versions of each subcommand's run, so one example costs milliseconds.
+# Numbers stay within [-1, 1]: a stronger oracle drive escalates the photon
+# cutoff for minutes, and a larger size only costs time.
+_SMALL_RUNS = {
+    "spectrum": {"grid": {"points": 201}, "motion": {"samples": 8}},
+    "scan2d": {"grid": {"points": 41}, "detuning": {"points": 5}},
+    "stark-scan": {"powers": {"points": 12}, "motion": {"samples": 8}},
+    "characterize": {},
+    "oracle-check": {"eta_over_kappa": [0.1, 0.01]},
+    "heterodyne-demo": {"probe_points": [0.0, 6.0], "windows": 40},
+}
+_CONFIG_LEAVES = [(command, path) for command in DEFAULTS for path in _leaves(DEFAULTS[command])]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 1) | st.floats(-1.0, 1.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(leaf=st.sampled_from(_CONFIG_LEAVES), value=_JSON_VALUES)
+def test_any_json_value_in_any_config_leaf_ends_in_an_exit_code(tmp_path, leaf, value):
+    command, path = leaf
+    config = copy.deepcopy(_SMALL_RUNS[command])
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code in (0, 1, 2, 3)
+
+
+def test_missing_network_file_is_rejected(tmp_path):
+    for network in (str(tmp_path / "nope.json"), str(tmp_path), ""):
+        cfg = write_config(tmp_path, {"network": network})
+        code, _ = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == 2
 
 
 def test_bad_seed_is_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -45,6 +46,12 @@ def test_config_validation():
         BeatNoteConfig(reference_amplitude=0.0)
     with pytest.raises(ConfigError):
         BeatNoteConfig(if_freq_mhz=0.0)
+    with pytest.raises(ConfigError):
+        BeatNoteConfig(snr_per_window=math.nan)
+    for field in ("if_freq_mhz", "sample_rate_msps", "window_us", "reference_amplitude"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=field):
+                BeatNoteConfig(**{field: value})
 
 
 def test_noise_sigma_from_snr():
@@ -127,6 +134,24 @@ def test_windows_are_reproducible_and_independent():
     np.testing.assert_array_equal(two, again)
     other = synthesize(1.0 + 0j, BeatNoteConfig(snr_per_window=5.0, seed=4), windows=2)
     assert not np.array_equal(two, other)
+
+
+def test_demodulation_matches_per_window_reference():
+    cfg = BeatNoteConfig(snr_per_window=4.0, seed=11)
+    trace = synthesize(0.7 * np.exp(-2.1j), cfg, windows=50)
+    n = cfg.samples_per_window
+    phase = 2.0 * math.pi * cfg.if_freq_mhz * np.arange(n) / cfg.sample_rate_msps
+    amp_ref, phase_ref = [], []
+    for w in range(50):
+        seg = trace[w * n : (w + 1) * n]
+        i, q = float(seg @ np.cos(phase)), float(seg @ np.sin(phase))
+        amp_ref.append(2.0 * math.hypot(i, q) / n)
+        phase_ref.append(math.atan2(-q, i))
+    iq = iq_windows(trace, cfg)
+    assert iq.shape == (50, 2)
+    amp, ph = demodulate(trace, cfg)
+    np.testing.assert_allclose(amp, amp_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(ph, phase_ref, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------------- leakage

@@ -44,6 +44,13 @@ def test_params_validation():
         JCParams(gamma=3.0, kappa=1.5, g=16.0, cutoff=0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "kappa", "g", "delta_pe", "delta_pr", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        JCParams(**{"gamma": 3.0, "kappa": 1.5, "g": 16.0, field: value})
+
+
 def test_density_matrix_validity_invariants():
     # hermitian, unit trace, positive semidefinite at every solve
     for eta in (0.015, 0.45, 1.5):

@@ -8,6 +8,7 @@ from antires.network import Mode, ModeNetwork, ProbeGrid, steady_state_batch
 from antires.presets import emitter_resonator, five_node_demo
 from antires.spectra import (
     AmbiguityError,
+    ComplexSpectrum,
     MotionEnsemble,
     antiresonances,
     cancel_pole_zero_pairs,
@@ -442,6 +443,8 @@ def test_unreachable_truncation_window_is_rejected():
         MotionEnsemble(scale_mean=math.nan)
     with pytest.raises(ValueError, match="non-negative"):
         MotionEnsemble(scale_sigma=math.nan)
+    with pytest.raises(ValueError, match="frequency_jitter"):
+        MotionEnsemble(frequency_jitter=math.inf)
     # a narrow window that is still reachable keeps the rejection sampler
     MotionEnsemble(scale_mean=0.3, scale_sigma=0.05, scale_bounds=(0.5, 1.0))
     MotionEnsemble(scale_mean=0.1, scale_sigma=0.0, scale_bounds=(0.5, 1.0))  # clamped
@@ -515,6 +518,44 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert back.labels == spec.labels
     np.testing.assert_array_equal(back.probes, spec.probes)
     np.testing.assert_array_equal(back.amplitudes, spec.amplitudes)
+
+
+@pytest.mark.parametrize("prominence", [-5.0, math.nan, math.inf])
+def test_detection_rejects_bad_prominence(prominence):
+    spectrum = sweep(emitter_resonator(), GRID)
+    with pytest.raises(ValueError, match="prominence_db"):
+        detect_antiresonances_numeric(spectrum, "cavity", prominence)
+
+
+def test_spectrum_csv_format_is_pinned(tmp_path):
+    # labels that csv must quote, a -0.0 probe, and amplitudes whose 17-digit
+    # text must read back bit for bit
+    grid = ProbeGrid(-1.0, -0.0, 3)
+    amps = np.array([
+        [1.0 / 3.0 + 1e-300j, np.pi - np.e * 1j],
+        [-2.5e-17 + 7.0j, 0.1 + 0.2j],
+        [12345.678901234567 - 1e150j, -1.0 + 0.0j],
+    ])
+    spec = ComplexSpectrum(grid=grid, labels=("cav,ity", 'at"om'), amplitudes=amps)
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, path)
+    raw = path.read_bytes()
+    lines = raw.split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) == 1 + 3 + 1
+    assert all(b"\n" not in line and b"\r" not in line for line in lines)
+    channels = ("re", "im", "magnitude", "excitation", "phase_unwrapped_rad")
+    assert lines[0].decode() == ",".join(
+        ["probe_mhz"]
+        + [f'"cav,ity_{c}"' for c in channels]
+        + [f'"at""om_{c}"' for c in channels]
+    )
+    last = lines[3].decode().split(",")
+    assert last[0] == "-0"
+    assert last[1] == "12345.678901234567"
+    back = read_spectrum_csv(path)
+    assert back.labels == ("cav,ity", 'at"om')
+    assert np.array_equal(back.probes.view(np.uint64), spec.probes.view(np.uint64))
+    assert np.array_equal(back.amplitudes.view(np.uint64), amps.view(np.uint64))
 
 
 def test_poles_zeros_report_shape():
