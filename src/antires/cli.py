@@ -45,7 +45,14 @@ from .network import (
     steady_state_family,
 )
 from .output import write_csv, write_json
-from .oracle import GSquaredUndefinedError, JCParams, linear_limit_check, lindblad_steady_state
+from .oracle import (
+    CutoffConvergenceError,
+    DensityMatrixError,
+    GSquaredUndefinedError,
+    JCParams,
+    linear_limit_check,
+    lindblad_steady_state,
+)
 from .presets import NETWORK_PRESETS, STARK_CALIBRATION_POINTS, emitter_resonator
 from .spectra import (
     AmbiguityError,
@@ -142,10 +149,10 @@ _PASSTHROUGH_KEYS = frozenset({"network_params"})
 def _accepts(default: Any, value: Any) -> bool:
     """Whether ``value`` has the JSON type of ``default``.
 
-    An int needs an int and a float takes an int or a float, never a bool;
-    a list's items are checked against the default's first item.  The one
-    null default (scan2d's detuning ``values``) takes null or a list of
-    numbers.
+    An int needs an int and a float takes a float or an int within float
+    range, never a bool; a list's items are checked against the default's
+    first item.  The one null default (scan2d's detuning ``values``) takes
+    null or a list of numbers.
     """
     if default is None:
         return value is None or _accepts([0.0], value)
@@ -154,7 +161,12 @@ def _accepts(default: Any, value: Any) -> bool:
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, int) and not isinstance(value, bool):
+            try:
+                return math.isfinite(float(value))
+            except OverflowError:
+                return False
+        return isinstance(value, float)
     if isinstance(default, list):
         return isinstance(value, list) and all(_accepts(default[0], v) for v in value)
     return isinstance(value, type(default))
@@ -663,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InvalidNetworkError, ValueError, GSquaredUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FitConvergenceError as exc:
+    except (FitConvergenceError, CutoffConvergenceError, DensityMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

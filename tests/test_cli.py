@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from antires import oracle as oracle_module
 from antires.cli import DEFAULTS, main
 from antires.network import ModeNetwork, Mode, ProbeGrid, save_network, steady_state
+from antires.oracle import CutoffConvergenceError, DensityMatrixError
 from antires.presets import emitter_resonator
 from antires.spectra import MotionEnsemble, ensemble_mean_amplitudes, read_spectrum_csv, sweep
 
@@ -251,6 +253,20 @@ def test_oracle_check_can_fail(tmp_path):
     assert text.strip().endswith("FAIL")
 
 
+@pytest.mark.parametrize("error", [CutoffConvergenceError, DensityMatrixError])
+def test_oracle_failure_exits_1_without_traceback(tmp_path, monkeypatch, error):
+    def fail(params, cutoff):
+        raise error("oracle failed")
+
+    monkeypatch.setattr(oracle_module, "steady_density_matrix", fail)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["oracle-check", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue() == "error: oracle failed\n"
+
+
 # --------------------------------------------------------- heterodyne-demo
 
 
@@ -330,6 +346,8 @@ def test_malformed_config_is_rejected(tmp_path):
     ("stark-scan", '{"powers": {"points": 0}}', "points"),
     ("stark-scan", '{"motion": {"frequency_jitter": Infinity}}', "frequency_jitter"),
     ("heterodyne-demo", '{"beat": {"sample_rate_msps": Infinity}}', "sample_rate_msps"),
+    pytest.param("spectrum", '{"grid": {"start": 1%s}}' % ("0" * 400), "start",
+                 id="spectrum-401-digit-start"),
 ])
 def test_bad_config_values_exit_2_naming_the_field(tmp_path, command, text, field):
     path = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antires import network as network_module
@@ -126,10 +126,13 @@ def test_two_mode_solver_matches_closed_form(gamma, kappa, g, delta_pe, delta_pr
 
 @settings(max_examples=60, deadline=None)
 @given(
-    re=st.floats(-4.0, 4.0),
-    im=st.floats(-4.0, 4.0),
+    # a subnormal drive cannot carry the 12 digits rtol asks for (IEEE, not a
+    # solver defect); tiny normal drives stay covered
+    re=st.floats(-4.0, 4.0, allow_subnormal=False),
+    im=st.floats(-4.0, 4.0, allow_subnormal=False),
     probe=st.floats(-30.0, 30.0),
 )
+@example(re=0.0, im=1e-300, probe=4.0)
 def test_response_linear_in_drive(re, im, probe):
     c = complex(re, im)
     if c == 0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,73 @@ def test_density_matrix_validity_invariants():
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
             eigs = np.linalg.eigvalsh(rho)
             assert eigs.min() > -1e-10
+
+
+def kron_reference_density_matrix(params, cutoff):
+    """Steady state from the textbook column-stacking Liouvillian.
+
+    Built with ``np.kron`` from vec(A X B) = (B^T (x) A) vec(X), independent
+    of the module's operators; basis emitter (2, lowering 1 -> 0) tensor
+    resonator (cutoff+1), with the trace constraint replacing the first row.
+    """
+    nf = cutoff + 1
+    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, nf)), k=1))
+    sm = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(nf))
+    ad, sp = a.T, sm.T
+    h = (
+        -params.delta_pr * ad @ a
+        - params.delta_pe * sp @ sm
+        + params.g * (ad @ sm + a @ sp)
+        + params.eta * (a + ad)
+    )
+    dim = 2 * nf
+    eye = np.eye(dim)
+    lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for rate, c in ((params.kappa, a), (params.gamma, sm)):
+        c = math.sqrt(2.0 * rate) * c
+        cdc = c.conj().T @ c
+        lv = lv + np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
+    lv[0, :] = 0.0
+    lv[0, :: dim + 1] = 1.0
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(lv, rhs).reshape(dim, dim, order="F")
+
+
+def test_in_place_assembly_matches_kron_reference():
+    rng = np.random.default_rng(5)
+    for cutoff in range(1, 9):
+        draws = [
+            dict(g=0.0, delta_pe=rng.uniform(-20, 20), delta_pr=rng.uniform(-20, 20), eta=1.0),
+            dict(g=rng.uniform(-20, 20), delta_pe=2.0, delta_pr=-1.0, eta=0.0),
+        ] + [
+            dict(g=rng.uniform(-20, 20), delta_pe=rng.uniform(-20, 20),
+                 delta_pr=rng.uniform(-20, 20), eta=rng.uniform(0.0, 3.0))
+            for _ in range(3)
+        ]
+        for kw in draws:
+            params = JCParams(gamma=rng.uniform(0.5, 4.0), kappa=rng.uniform(0.5, 4.0), **kw)
+            np.testing.assert_allclose(
+                steady_density_matrix(params, cutoff),
+                kron_reference_density_matrix(params, cutoff),
+                rtol=0.0, atol=1e-12,
+            )
+
+
+def test_solve_peak_memory_is_one_liouvillian():
+    # the assembly holds one (dim^2)^2 complex matrix; LAPACK's copy of it is
+    # allocated outside Python's tracked heap
+    params = JCParams(delta_pe=3.0, delta_pr=0.0, eta=1.5, **REF)
+    cutoff = 14
+    n = (2 * (cutoff + 1)) ** 2
+    steady_density_matrix(params, cutoff)  # warm-up
+    tracemalloc.start()
+    try:
+        steady_density_matrix(params, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * n * n
 
 
 # -------------------------------------------------------- linear weak drive
