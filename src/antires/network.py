@@ -71,8 +71,8 @@ class Mode:
     decay: float
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise InvalidNetworkError("mode label must be a non-empty string")
+        if not (isinstance(self.label, str) and self.label):
+            raise InvalidNetworkError(f"mode label must be a non-empty string, got {self.label!r}")
         if self.kind not in MODE_KINDS:
             raise InvalidNetworkError(
                 f"mode {self.label!r}: kind must be one of {MODE_KINDS}, got {self.kind!r}"
@@ -199,8 +199,8 @@ class ProbeGrid:
             raise ValueError("grid endpoints must be finite")
         if self.stop <= self.start:
             raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
-        if self.points < 2:
-            raise ValueError(f"grid requires at least 2 points, got {self.points}")
+        if isinstance(self.points, bool) or not isinstance(self.points, int) or self.points < 2:
+            raise ValueError(f"grid requires an integer of at least 2 points, got {self.points!r}")
 
     @property
     def step(self) -> float:
@@ -408,15 +408,19 @@ def network_from_dict(data: dict) -> ModeNetwork:
     if len(set(labels)) != len(labels):
         raise InvalidNetworkError(f"duplicate mode labels: {labels}")
     lut = {lab: i for i, lab in enumerate(labels)}
+    couplings, drive = data.get("couplings", []), data.get("drive", [])
+    for key, value in (("couplings", couplings), ("drive", drive)):
+        if not isinstance(value, list):
+            raise InvalidNetworkError(f"{key!r} must be a list, got {value!r}")
 
     n = len(modes)
     c = np.zeros((n, n))
-    for entry in data.get("couplings", ()):
+    for entry in couplings:
         try:
             a, b, g = entry["a"], entry["b"], float(entry["g_mhz"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad coupling entry {entry!r}: {exc}") from exc
-        if a not in lut or b not in lut:
+        if not all(isinstance(end, str) and end in lut for end in (a, b)):
             raise InvalidNetworkError(f"coupling references unknown mode: {entry!r}")
         if a == b:
             raise InvalidNetworkError(f"self coupling on {a!r} is not allowed")
@@ -426,13 +430,13 @@ def network_from_dict(data: dict) -> ModeNetwork:
         c[j, k] = c[k, j] = g
 
     d = np.zeros(n, dtype=complex)
-    for entry in data.get("drive", ()):
+    for entry in drive:
         try:
             lab = entry["label"]
             amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad drive entry {entry!r}: {exc}") from exc
-        if lab not in lut:
+        if not (isinstance(lab, str) and lab in lut):
             raise InvalidNetworkError(f"drive references unknown mode {lab!r}")
         d[lut[lab]] += amp
 

@@ -10,9 +10,9 @@ emitter excitations block the resonator -- from the hybridised normal modes.
 
 The Liouvillian is dense, (2(c+1))^2 square at photon cutoff c, and is
 written in place into one preallocated matrix from the nonzeros of the
-operators, with no Kronecker-product temporaries and no scipy import.  A
-solve therefore holds one 16 (2(c+1))^4-byte matrix plus LAPACK's copy of
-it: about 0.72 GB each at the largest allowed cutoff, 40.
+operators, with no Kronecker-product temporaries.  A solve therefore holds
+one 16 (2(c+1))^4-byte matrix plus LAPACK's copy of it: about 0.72 GB each
+at the largest allowed cutoff, 40.
 
 Conventions match :mod:`antires.network`: all rates are cyclic frequencies
 in MHz, decays are amplitude half-widths (resonator field decay kappa,
@@ -72,7 +72,7 @@ class JCParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.eta < 0.0:
             raise ValueError("drive amplitude eta must be non-negative")
-        if not isinstance(self.cutoff, int) or self.cutoff < 1:
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, int) or self.cutoff < 1:
             raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
 
 

@@ -196,6 +196,31 @@ def cancel_pole_zero_pairs(
 # Numeric antiresonance detection
 # ---------------------------------------------------------------------------
 
+def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``x`` whose prominence is >= ``prominence``.
+
+    A flat top counts once, at its middle rounded down; a maximum touching
+    either end of ``x`` is no peak; and a peak's prominence is its height
+    above the higher of the two lowest samples met walking out on each side
+    until a sample is strictly higher than the peak (or the array ends).
+    These are the rules of the usual ``find_peaks(x, prominence=...)``.
+    """
+    if x.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # runs of equal samples
+    level = x[starts]
+    runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = []
+    for i in (starts[runs] + starts[runs + 1] - 1) // 2:
+        higher = np.flatnonzero(x > x[i])
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] if k < higher.size else x.size
+        if x[i] - max(x[lo : i + 1].min(), x[i:hi].min()) >= prominence:
+            peaks.append(i)
+    return np.array(peaks, dtype=np.intp)
+
+
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> float:
     """Vertex abscissa of the parabola through points i-1, i, i+1."""
     if i <= 0 or i >= len(x) - 1:
@@ -351,11 +376,13 @@ def detect_antiresonances_numeric(
     """Locate antiresonance dips in a sampled spectrum of the driven mode.
 
     Pipeline: dips are candidate minima of the log-magnitude with at least
-    ``prominence_db`` of prominence; each candidate gets a parabolic center
-    estimate plus a width seed (the phase-fall span when it agrees with the
-    excitation-doubling span, the doubling span otherwise), then both are
-    walked onto the zero by an iterated local rational fit of the complex
-    amplitude (see :func:`_rational_zero_refine`).  Minima pressed against
+    ``prominence_db`` of prominence, a dip's prominence being its depth below
+    the lower of the two highest levels met walking out on each side until
+    the spectrum falls below the dip or the grid ends; each candidate gets a
+    parabolic center estimate plus a width seed (the phase-fall span when it
+    agrees with the excitation-doubling span, the doubling span otherwise),
+    then both are walked onto the zero by an iterated local rational fit of
+    the complex amplitude (see :func:`_rational_zero_refine`).  Minima pressed against
     either end of the grid are reported with ``at_boundary=True``, a NaN
     width, and no refinement -- the grid does not contain enough of the
     feature.
@@ -370,12 +397,11 @@ def detect_antiresonances_numeric(
     """
     if not (math.isfinite(prominence_db) and prominence_db >= 0.0):
         raise ValueError(f"prominence_db must be finite and >= 0, got {prominence_db}")
-    from scipy.signal import find_peaks  # imported here: scipy.signal dominates import time
 
     probes = spectrum.probes
     col = spectrum.column(drive_label)
     logmag = 20.0 * np.log10(np.maximum(np.abs(col), _MAG_FLOOR))
-    dips, _ = find_peaks(-logmag, prominence=prominence_db)
+    dips = _prominent_peaks(-logmag, prominence_db)
     phase = np.unwrap(np.angle(col))
 
     found: list[AntiresonanceZero] = []
@@ -452,8 +478,8 @@ class MotionEnsemble:
             )
         if not (0.0 <= self.scale_sigma < math.inf and 0.0 <= self.frequency_jitter < math.inf):
             raise ValueError("scale_sigma and frequency_jitter must be finite and non-negative")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
         if self.scale_sigma > 0.0:
             # the rejection sampler needs ~1/acceptance normal draws per member
             spread = self.scale_sigma * math.sqrt(2.0)

@@ -2,7 +2,9 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import antires
 from antires import oracle as oracle_module
 from antires.cli import DEFAULTS, main
 from antires.network import ModeNetwork, Mode, ProbeGrid, save_network, steady_state
@@ -348,8 +351,17 @@ def test_malformed_config_is_rejected(tmp_path):
     ("heterodyne-demo", '{"beat": {"sample_rate_msps": Infinity}}', "sample_rate_msps"),
     pytest.param("spectrum", '{"grid": {"start": 1%s}}' % ("0" * 400), "start",
                  id="spectrum-401-digit-start"),
+    pytest.param("spectrum", '{"network": "bad_network.json"}', "couplings",
+                 id="spectrum-network-file-couplings-not-a-list"),
 ])
-def test_bad_config_values_exit_2_naming_the_field(tmp_path, command, text, field):
+def test_bad_config_values_exit_2_naming_the_field(tmp_path, monkeypatch, command, text, field):
+    # the one network file the table refers to: valid modes, "couplings": 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad_network.json").write_text(json.dumps({
+        "modes": [{"label": "cavity", "kind": "resonator", "frequency_mhz": 0.0,
+                   "decay_mhz": 1.5}],
+        "couplings": 5,
+    }))
     path = tmp_path / "cfg.json"
     path.write_text(text)
     err = io.StringIO()
@@ -423,6 +435,26 @@ def test_version_flag():
         main(["--version"])
     assert exc.value.code == 0
     assert buf.getvalue().startswith("antires ")
+
+
+def test_spectrum_and_scan2d_never_import_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy may still be installed
+    # (the benchmark uses it), so only a fresh interpreter can tell
+    spectrum = write_config(tmp_path, {"grid": {"points": 201}}, "spectrum.json")
+    scan2d = write_config(tmp_path, {"grid": {"points": 41}, "detuning": {"points": 5}},
+                          "scan2d.json")
+    script = (
+        "import sys\n"
+        "from antires.cli import main\n"
+        f"assert main(['spectrum', '--config', {spectrum!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        f"assert main(['scan2d', '--config', {scan2d!r}, '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(antires.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_console_script_entry_point():

@@ -262,6 +262,9 @@ def test_probe_grid_step_and_frequencies():
         ProbeGrid(-5.0, -5.0, 11)
     with pytest.raises(ValueError):
         ProbeGrid(-5.0, 5.0, 1)
+    for points in (2.5, 11.0, True, "11"):
+        with pytest.raises(ValueError):
+            ProbeGrid(0.0, 1.0, points)
 
 
 # -------------------------------------------------------------- validation
@@ -276,6 +279,9 @@ def test_mode_rejects_bad_inputs():
         Mode("x", "emitter", np.nan, 1.0)
     with pytest.raises(InvalidNetworkError):
         Mode("", "emitter", 0.0, 1.0)
+    for label in (5, None, ["x"], True):
+        with pytest.raises(InvalidNetworkError):
+            Mode(label, "emitter", 0.0, 1.0)
 
 
 def _modes2():
@@ -369,9 +375,39 @@ def test_dict_schema_rejects_bad_couplings():
     with pytest.raises(InvalidNetworkError):
         network_from_dict(bad)
 
+    for endpoint in (["cavity"], 5, None):
+        bad = json.loads(json.dumps(doc))
+        bad["couplings"][0]["a"] = endpoint
+        with pytest.raises(InvalidNetworkError):
+            network_from_dict(bad)
+
+    for couplings in (None, 5, "cavity", {"a": "cavity", "b": "atom", "g_mhz": 1.0}):
+        bad = json.loads(json.dumps(doc))
+        bad["couplings"] = couplings
+        with pytest.raises(InvalidNetworkError):
+            network_from_dict(bad)
+
 
 def test_dict_schema_rejects_unknown_drive_label():
     doc = network_to_dict(two_mode_network())
     doc["drive"][0]["label"] = "ghost"
     with pytest.raises(InvalidNetworkError):
         network_from_dict(doc)
+
+    doc["drive"][0]["label"] = ["cavity"]
+    with pytest.raises(InvalidNetworkError):
+        network_from_dict(doc)
+
+    for drive in (None, 7, {"label": "cavity"}):
+        doc["drive"] = drive
+        with pytest.raises(InvalidNetworkError):
+            network_from_dict(doc)
+
+
+def test_dict_schema_rejects_non_string_mode_labels():
+    doc = network_to_dict(two_mode_network())
+    for label in (["cavity"], 5, None, ""):
+        bad = json.loads(json.dumps(doc))
+        bad["modes"][0]["label"] = label
+        with pytest.raises(InvalidNetworkError):
+            network_from_dict(bad)

@@ -41,8 +41,9 @@ def test_params_validation():
         JCParams(gamma=3.0, kappa=-1.0, g=16.0)
     with pytest.raises(ValueError):
         JCParams(gamma=3.0, kappa=1.5, g=16.0, eta=-0.1)
-    with pytest.raises(ValueError):
-        JCParams(gamma=3.0, kappa=1.5, g=16.0, cutoff=0)
+    for cutoff in (0, 2.5, 4.0, True):
+        with pytest.raises(ValueError):
+            JCParams(gamma=3.0, kappa=1.5, g=16.0, cutoff=cutoff)
 
 
 @pytest.mark.parametrize("field", ["gamma", "kappa", "g", "delta_pe", "delta_pr", "eta"])

@@ -10,6 +10,7 @@ from antires.spectra import (
     AmbiguityError,
     ComplexSpectrum,
     MotionEnsemble,
+    _prominent_peaks,
     antiresonances,
     cancel_pole_zero_pairs,
     detect_antiresonances_numeric,
@@ -261,6 +262,34 @@ def test_zero_centers_are_magnitude_minima_for_random_networks():
 # ------------------------------------------------------------ dip detection
 
 
+@pytest.mark.parametrize("x, prominence, expected", [
+    pytest.param([0, 1, 2, 2, 2, 1, 0], 0.0, [3], id="odd-plateau-middle"),
+    pytest.param([0, 2, 2, 2, 2, 0], 0.0, [2], id="even-plateau-middle-rounded-down"),
+    pytest.param([0, 1, 1, 0], 0.0, [1], id="two-sample-plateau"),
+    pytest.param([3, 1, 2, 1, 3], 0.0, [2], id="maxima-at-both-ends-are-no-peaks"),
+    pytest.param([2, 2, 1, 2, 0], 0.0, [3], id="plateau-at-left-end-is-no-peak"),
+    pytest.param([0, 1, 2, 2], 0.0, [], id="plateau-at-right-end-is-no-peak"),
+    pytest.param([], 0.0, [], id="length-0"),
+    pytest.param([1], 0.0, [], id="length-1"),
+    pytest.param([1, 2], 0.0, [], id="length-2"),
+    pytest.param([0, 1, 0], 0.0, [1], id="length-3-peak"),
+    pytest.param([1, 0, 1], 0.0, [], id="length-3-valley"),
+    pytest.param([1, 1, 1, 1, 1], 0.0, [], id="flat"),
+    # the peak at 1 has bases 0 and 1 (the walk right stops at the 3)
+    pytest.param([0, 2, 1, 3, 0], 1.0, [1, 3], id="prominence-equal-to-threshold-is-kept"),
+    pytest.param([0, 2, 1, 3, 0], np.nextafter(1.0, 2.0), [3], id="just-above-threshold"),
+    pytest.param([0, 1.5, 1.0, 3, 0], 0.5, [1, 3], id="fractional-prominence-equal"),
+    # an equal peak is not strictly higher, so each walk passes it and
+    # reaches the far end: both prominences are 3 - 0.5, not 3 - 1
+    pytest.param([0.5, 3, 1, 3, 0], 2.5, [1, 3], id="equal-peaks-walk-past-each-other"),
+    pytest.param([0.5, 3, 1, 3, 0], np.nextafter(2.5, 3.0), [], id="equal-peaks-above-threshold"),
+])
+def test_prominent_peaks_pins_the_peak_rule(x, prominence, expected):
+    peaks = _prominent_peaks(np.array(x, dtype=float), prominence)
+    assert peaks.dtype == np.intp
+    assert peaks.tolist() == expected
+
+
 def test_detect_recovers_the_algebraic_zero():
     spec = sweep(emitter_resonator(), GRID)
     found = detect_antiresonances_numeric(spec, "cavity")
@@ -404,6 +433,9 @@ def test_scale_bounds_validation():
         MotionEnsemble(scale_sigma=-0.1)
     with pytest.raises(ValueError):
         MotionEnsemble(samples=0)
+    for samples in (2.5, 8.0, True, "8"):
+        with pytest.raises(ValueError):
+            MotionEnsemble(samples=samples)
 
 
 def test_draw_is_member_k_of_the_family_arrays():
