@@ -222,7 +222,7 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 def _preset(name: str, params: dict) -> ModeNetwork:
     try:
         return NETWORK_PRESETS[name](**params)
-    except TypeError as exc:
+    except (TypeError, InvalidNetworkError) as exc:
         raise ConfigError(f"bad network_params for preset {name!r}: {exc}")
 
 

@@ -46,6 +46,23 @@ class SingularResponseError(RuntimeError):
     """Raised when the steady-state solve hits an exactly singular matrix."""
 
 
+def _finite_real(value: object) -> bool:
+    """Whether ``value`` is an int or a float, never a bool, with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _json_number(value: object, key: str) -> float:
+    """A network file's number as a float; strings, bools and nulls are refused."""
+    if not _finite_real(value):
+        raise InvalidNetworkError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Mode:
     """A single bosonic or two-level mode in the linear (weak drive) regime.
@@ -77,11 +94,13 @@ class Mode:
             raise InvalidNetworkError(
                 f"mode {self.label!r}: kind must be one of {MODE_KINDS}, got {self.kind!r}"
             )
-        if not math.isfinite(self.frequency):
-            raise InvalidNetworkError(f"mode {self.label!r}: frequency must be finite")
-        if not (math.isfinite(self.decay) and self.decay > 0.0):
+        if not _finite_real(self.frequency):
             raise InvalidNetworkError(
-                f"mode {self.label!r}: decay must be positive (got {self.decay})"
+                f"mode {self.label!r}: frequency must be a finite number, got {self.frequency!r}"
+            )
+        if not (_finite_real(self.decay) and self.decay > 0.0):
+            raise InvalidNetworkError(
+                f"mode {self.label!r}: decay must be a positive number, got {self.decay!r}"
             )
 
 
@@ -398,8 +417,8 @@ def network_from_dict(data: dict) -> ModeNetwork:
                 Mode(
                     label=entry["label"],
                     kind=entry["kind"],
-                    frequency=float(entry["frequency_mhz"]),
-                    decay=float(entry["decay_mhz"]),
+                    frequency=_json_number(entry["frequency_mhz"], "frequency_mhz"),
+                    decay=_json_number(entry["decay_mhz"], "decay_mhz"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -417,7 +436,7 @@ def network_from_dict(data: dict) -> ModeNetwork:
     c = np.zeros((n, n))
     for entry in couplings:
         try:
-            a, b, g = entry["a"], entry["b"], float(entry["g_mhz"])
+            a, b, g = entry["a"], entry["b"], _json_number(entry["g_mhz"], "g_mhz")
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad coupling entry {entry!r}: {exc}") from exc
         if not all(isinstance(end, str) and end in lut for end in (a, b)):
@@ -433,7 +452,9 @@ def network_from_dict(data: dict) -> ModeNetwork:
     for entry in drive:
         try:
             lab = entry["label"]
-            amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            amp = complex(
+                _json_number(entry.get("re", 0.0), "re"), _json_number(entry.get("im", 0.0), "im")
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad drive entry {entry!r}: {exc}") from exc
         if not (isinstance(lab, str) and lab in lut):

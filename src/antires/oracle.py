@@ -1,18 +1,23 @@
 """Exact steady state of the driven emitter-resonator pair (small Hilbert space).
 
 This module is the quantum oracle the linear coupled-mode solver is checked
-against.  It builds the full Liouvillian of one two-level emitter coupled to
+against.  It builds the Liouvillian of one two-level emitter coupled to
 one driven resonator mode truncated at ``cutoff`` photons, solves the
 steady state exactly, and reports field moments.  In the weak-drive limit
 the mean field must approach the coupled-mode prediction; at finite drive
 the photon statistics (g2) distinguish the antiresonance -- where single
 emitter excitations block the resonator -- from the hybridised normal modes.
 
-The Liouvillian is dense, (2(c+1))^2 square at photon cutoff c, and is
-written in place into one preallocated matrix from the nonzeros of the
-operators, with no Kronecker-product temporaries.  A solve therefore holds
-one 16 (2(c+1))^4-byte matrix plus LAPACK's copy of it: about 0.72 GB each
-at the largest allowed cutoff, 40.
+The Liouvillian is never formed as one matrix.  Every density-matrix entry
+rho[i, j] carries the excitation difference D = m_i - m_j (emitter
+excitation plus photons), and only the drive changes D, by one.  So the
+Liouvillian is block tridiagonal in D, with 2c + 3 blocks of at most
+4c + 2 entries a side at photon cutoff c.  The blocks are written from the
+nonzeros of the operators and eliminated from both ends toward D = 0 as a
+matrix continued fraction (H. Risken, *The Fokker-Planck Equation*, 2nd
+ed., Springer 1989, ch. 9).  Time grows as c^4 and memory as c^3.  On a
+2-core VM a solve takes about 11 ms with a 7 MiB tracemalloc peak at
+c = 20, and 0.1 s with 47 MiB at the largest allowed cutoff, 40.
 
 Conventions match :mod:`antires.network`: all rates are cyclic frequencies
 in MHz, decays are amplitude half-widths (resonator field decay kappa,
@@ -25,8 +30,10 @@ The rotating-frame Hamiltonian for probe detunings ``d_pe`` (emitter) and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,24 +124,134 @@ def _operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return a, sm
 
 
+class _BlockLayout(NamedTuple):
+    """Cutoff-only index structure of the block-tridiagonal Liouvillian."""
+
+    k_rows: np.ndarray  # structural nonzeros of K
+    k_cols: np.ndarray
+    collapse_nonzeros: tuple[tuple[np.ndarray, np.ndarray], ...]  # of a and sm
+    src: np.ndarray  # which gathered value feeds each Liouvillian nonzero
+    target: np.ndarray  # where its real and imaginary parts land in the flat storage
+    n_stored: int
+    views: tuple  # (start, stop, shape) of the diag, up and down block of each D
+    trace_row: int  # position of rho[0, 0] in block D = 0
+    trace_cols: np.ndarray  # positions of rho[i, i] in block D = 0
+    order: np.ndarray  # row-major flat index of rho for each block entry, by D
+
+
+@functools.lru_cache(maxsize=64)
+def _block_layout(cutoff: int) -> _BlockLayout:
+    """Where each Liouvillian nonzero lands among the excitation-difference blocks.
+
+    Entry ``rho[i, j]`` (row-major flat index ``i * dim + j``) lies in block
+    ``b = D + cutoff + 1``, ``D = m_i - m_j``, at position ``pos`` within it.
+    Block ``b`` couples to itself (diag), to ``b + 1`` (up) and to ``b - 1``
+    (down); the two blocks at the ends get an empty up or down block.
+    """
+    nf = cutoff + 1
+    dim = 2 * nf
+    nb = 2 * nf + 1
+    a, sm = _operators(cutoff)
+    m = np.concatenate([np.arange(nf), np.arange(1, nf + 1)])  # e + n
+    block = (m[:, None] - m[None, :]).ravel() + nf
+    order = np.argsort(block, kind="stable")
+    sizes = np.bincount(block, minlength=nb)
+    pos = np.empty(dim * dim, dtype=np.intp)
+    pos[order] = np.arange(dim * dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    # K rho + rho K^dag + sum_c c rho c^dag as (row, col, value source) triples;
+    # K may be nonzero on its diagonal, at the drive's a and a^dag, and at the
+    # g-term's a^dag sm and a sp
+    k_rows, k_cols = np.nonzero(np.eye(dim) + a + a.T + a.T @ sm + a @ sm.T)
+    nk = k_rows.size
+    span = np.arange(dim)
+    rows = [k_rows[:, None] * dim + span, span * dim + k_rows[:, None]]
+    cols = [k_cols[:, None] * dim + span, span * dim + k_cols[:, None]]
+    src = [np.repeat(np.arange(2 * nk), dim)]
+    collapse_nonzeros = tuple(np.nonzero(c) for c in (a, sm))
+    n_values = 2 * nk
+    for c_rows, c_cols in collapse_nonzeros:
+        rows.append(c_rows[:, None] * dim + c_rows)
+        cols.append(c_cols[:, None] * dim + c_cols)
+        src.append(np.arange(n_values, n_values + c_rows.size**2))
+        n_values += c_rows.size**2
+    row = np.concatenate([r.ravel() for r in rows])
+    col = np.concatenate([c.ravel() for c in cols])
+
+    padded = np.concatenate([[0], sizes, [0]])
+    shapes = [
+        (int(sizes[b]), int(width))
+        for widths in (sizes, padded[2:], padded[:-2])  # diag, up, down
+        for b, width in enumerate(widths)
+    ]
+    stops = np.cumsum([p * q for p, q in shapes])
+    starts = stops - [p * q for p, q in shapes]
+    b_row, b_col = block[row], block[col]
+    kind = (b_col - b_row) % 3  # 0 diag, 1 up, 2 down
+    target = starts[kind * nb + b_row] + pos[row] * sizes[b_col] + pos[col]
+    target = (2 * target[:, None] + [0, 1]).ravel()  # real and imaginary part
+    blocks = tuple(zip(starts.tolist(), stops.tolist(), shapes))
+    layout = _BlockLayout(
+        k_rows=k_rows,
+        k_cols=k_cols,
+        collapse_nonzeros=collapse_nonzeros,
+        src=np.concatenate(src),
+        target=target,
+        n_stored=int(stops[-1]),
+        views=(blocks[:nb], blocks[nb : 2 * nb], blocks[2 * nb :]),
+        trace_row=int(pos[0]),
+        trace_cols=pos[span * (dim + 1)],
+        order=order,
+    )
+    # the cache hands these arrays to every caller
+    for arr in (k_rows, k_cols, *collapse_nonzeros[0], *collapse_nonzeros[1],
+                layout.src, target, layout.trace_cols, order):
+        arr.setflags(write=False)
+    return layout
+
+
+def _fold(diag: list, outer: list, inner: list, seq: range) -> list[np.ndarray]:
+    """Eliminate the blocks ``seq`` (outermost first) into the next one in.
+
+    Returns the matrices ``r`` with ``x_b = r @ x_inner`` for each block in
+    ``seq``: the matrix continued fraction of that side.
+    """
+    folded = []
+    for b in seq:
+        s = diag[b] + outer[b] @ folded[-1] if folded else diag[b]
+        folded.append(-np.linalg.solve(s, inner[b]))
+    return folded
+
+
+def _unfold(folded: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """Back-substitute from the ``D = 0`` block outward, innermost first."""
+    out = []
+    for r in reversed(folded):
+        x = r @ x
+        out.append(x)
+    return out
+
+
 def steady_density_matrix(params: JCParams, cutoff: int) -> np.ndarray:
     """Exact steady-state density matrix at a fixed photon cutoff.
 
-    The Liouvillian of the column-stacked ``vec(rho)`` is
-
-        L = I (x) K + conj(K) (x) I + sum_c conj(c) (x) c,
-        K = -i H - 1/2 sum_c c^dag c,
-
-    and is assembled in place in one preallocated ``(dim^2, dim^2)`` matrix:
-    K and conj(K) go onto the block diagonals of its four-index view, and
-    each collapse operator adds the outer product of its few nonzeros.  The
-    steady state is extracted by overwriting the first row with the trace
-    constraint and making one dense solve.  Peak memory is that one
-    16 dim^4-byte matrix plus LAPACK's working copy of it (0.72 GB each at
-    cutoff 40).  The returned matrix is checked for hermiticity, unit trace,
-    and positivity (to solver precision); violations raise
-    :class:`DensityMatrixError`.
+    The steady state solves ``K rho + rho K^dag + sum_c c rho c^dag = 0``
+    with ``K = -i H - 1/2 sum_c c^dag c`` and unit trace.  Give each entry
+    ``rho[i, j]`` the excitation difference ``D = m_i - m_j``, where ``m``
+    counts the emitter excitation plus the photons.  The detunings, the
+    g-term and both collapse terms keep ``D``; only the drive moves it, by
+    one.  So the Liouvillian is block tridiagonal in ``D`` from ``-(c+1)`` to
+    ``c+1``.  Its blocks are filled from the nonzeros of K and of the
+    collapse operators, then eliminated from both ends toward ``D = 0``:
+    Risken's matrix continued fraction (*The Fokker-Planck Equation*, 2nd
+    ed., ch. 9).  The trace row replaces the equation for ``rho[0, 0]`` in
+    the ``D = 0`` Schur complement; that block is solved, and the others
+    follow by back-substitution.  No dense Liouvillian is formed: memory is
+    O(c) blocks of about 4c x 4c entries.  The returned matrix is checked
+    for hermiticity, unit trace, and positivity (to solver precision);
+    violations raise :class:`DensityMatrixError`.
     """
+    layout = _block_layout(cutoff)
     a, sm = _operators(cutoff)
     ad, sp = a.conj().T, sm.conj().T
     h = (
@@ -148,25 +265,32 @@ def steady_density_matrix(params: JCParams, cutoff: int) -> np.ndarray:
     for c in collapse:
         k_eff -= 0.5 * (c.conj().T @ c)
 
-    dim = h.shape[0]
-    liouville = np.zeros((dim * dim, dim * dim), dtype=complex)
-    # blocks[j, i, l, k] is the rate at which rho[k, l] feeds rho[i, j]
-    blocks = liouville.reshape(dim, dim, dim, dim)
-    k_conj = k_eff.conj()
-    for d in range(dim):
-        blocks[d, :, d, :] += k_eff
-        blocks[:, d, :, d] += k_conj
-    for c in collapse:
-        # distinct nonzeros give distinct index pairs, so the fancy += is exact
-        rows, cols = np.nonzero(c)
-        vals = c[rows, cols]
-        blocks[rows[:, None], rows, cols[:, None], cols] += np.outer(vals.conj(), vals)
+    k_vals = k_eff[layout.k_rows, layout.k_cols]
+    values = [k_vals, k_vals.conj()]
+    for c, nonzero in zip(collapse, layout.collapse_nonzeros):
+        vals = c[nonzero]
+        values.append(np.outer(vals, vals.conj()).ravel())
+    values = np.concatenate(values)[layout.src]
+    # one real bincount over the interleaved (re, im) pairs, viewed back as complex
+    stored = np.bincount(layout.target, values.view(float), 2 * layout.n_stored).view(complex)
+    diag, up, down = (
+        [stored[start:stop].reshape(shape) for start, stop, shape in views]
+        for views in layout.views
+    )
 
-    liouville[0, :] = 0.0
-    liouville[0, np.arange(dim) * dim + np.arange(dim)] = 1.0  # trace row
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
-    rho = np.linalg.solve(liouville, rhs).reshape(dim, dim).T
+    mid = cutoff + 1  # the block D = 0
+    above = _fold(diag, up, down, range(2 * mid, mid, -1))
+    below = _fold(diag, down, up, range(mid))
+    schur = diag[mid] + up[mid] @ above[-1] + down[mid] @ below[-1]
+    schur[layout.trace_row] = 0.0
+    schur[layout.trace_row, layout.trace_cols] = 1.0
+    rhs = np.zeros(schur.shape[0], dtype=complex)
+    rhs[layout.trace_row] = 1.0
+    x0 = np.linalg.solve(schur, rhs)
+    dim = 2 * mid
+    rho = np.empty(dim * dim, dtype=complex)
+    rho[layout.order] = np.concatenate(_unfold(below, x0)[::-1] + [x0] + _unfold(above, x0))
+    rho = rho.reshape(dim, dim)
 
     herm = np.max(np.abs(rho - rho.conj().T))
     tr = abs(np.trace(rho) - 1.0)
@@ -199,7 +323,8 @@ def lindblad_steady_state(
     changes by less than ``rel_tol`` (relative); the converged step's finer
     solve is returned.  Raises :class:`CutoffConvergenceError` if
     ``max_cutoff`` is reached first and :class:`GSquaredUndefinedError` when
-    the converged state holds no photons (g2 has no meaning there).
+    the converged state holds no photons, or so few that ``<n>^2`` underflows
+    (g2 has no meaning, or no float value, there).
     """
     if params.cutoff >= max_cutoff:
         raise ValueError(f"starting cutoff {params.cutoff} must be below max_cutoff {max_cutoff}")
@@ -217,9 +342,9 @@ def lindblad_steady_state(
         raise CutoffConvergenceError(
             f"mean photon number still changing by {delta:.3e} (rel) at cutoff {max_cutoff}"
         )
-    if n <= 0.0:
+    if n <= 0.0 or n * n == 0.0:  # n^2 underflows below about 1e-162 photons
         raise GSquaredUndefinedError(
-            "steady state holds no photons (eta = 0?); g2 is undefined"
+            f"steady state holds {n:.3g} photons (eta = 0?), too few for g2; g2 is undefined"
         )
     return OracleResult(
         mean_field=field,
@@ -268,6 +393,8 @@ def linear_limit_check(
     """
     from .network import closed_form_two_mode
 
+    if not eta_over_kappa:
+        raise ValueError("eta_over_kappa must list at least one drive ratio")
     devs = []
     for ratio in eta_over_kappa:
         if ratio <= 0.0:

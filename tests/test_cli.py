@@ -256,6 +256,19 @@ def test_oracle_check_can_fail(tmp_path):
     assert text.strip().endswith("FAIL")
 
 
+def test_oracle_check_strong_drive_climbs_to_cutoff_38(tmp_path):
+    # eta/kappa = 5 saturates the emitter: the g2 contrast check fails, and
+    # the antiresonance needs 38 photons before <n> settles
+    cfg = write_config(tmp_path, {"g2_eta_over_kappa": 5})
+    out = tmp_path / "run"
+    code, text = run_cli("oracle-check", "--config", cfg, "--out", str(out))
+    assert code == 1
+    assert text.strip().endswith("FAIL")
+    anti = json.loads((out / "oracle_report.json").read_text())["g2"]["antiresonance"]
+    assert anti["cutoff_used"] == 38
+    assert anti["cutoff_delta"] < 1e-3
+
+
 @pytest.mark.parametrize("error", [CutoffConvergenceError, DensityMatrixError])
 def test_oracle_failure_exits_1_without_traceback(tmp_path, monkeypatch, error):
     def fail(params, cutoff):
@@ -344,6 +357,7 @@ def test_malformed_config_is_rejected(tmp_path):
     ("spectrum", '{"prominence_db": -5}', "prominence_db"),
     ("oracle-check", '{"gamma": NaN}', "gamma"),
     ("oracle-check", '{"g2_eta_over_kappa": 0.0}', "eta"),
+    ("oracle-check", '{"eta_over_kappa": []}', "eta_over_kappa"),
     ("scan2d", '{"network_params": {"bogus": 1.0}}', "network_params"),
     ("heterodyne-demo", '{"network_params": {"delta_er": "a"}}', "network_params"),
     ("stark-scan", '{"powers": {"points": 0}}', "points"),
@@ -353,14 +367,23 @@ def test_malformed_config_is_rejected(tmp_path):
                  id="spectrum-401-digit-start"),
     pytest.param("spectrum", '{"network": "bad_network.json"}', "couplings",
                  id="spectrum-network-file-couplings-not-a-list"),
+    pytest.param("spectrum", '{"network": "string_g_network.json"}', "g_mhz",
+                 id="spectrum-network-file-string-coupling"),
 ])
 def test_bad_config_values_exit_2_naming_the_field(tmp_path, monkeypatch, command, text, field):
-    # the one network file the table refers to: valid modes, "couplings": 5
+    # the network files the table refers to: valid modes with "couplings": 5,
+    # and a coupling whose rate is the string "16"
     monkeypatch.chdir(tmp_path)
+    modes = [{"label": "cavity", "kind": "resonator", "frequency_mhz": 0.0, "decay_mhz": 1.5},
+             {"label": "atom", "kind": "emitter", "frequency_mhz": 0.0, "decay_mhz": 3.0}]
     (tmp_path / "bad_network.json").write_text(json.dumps({
-        "modes": [{"label": "cavity", "kind": "resonator", "frequency_mhz": 0.0,
-                   "decay_mhz": 1.5}],
+        "modes": modes[:1],
         "couplings": 5,
+    }))
+    (tmp_path / "string_g_network.json").write_text(json.dumps({
+        "modes": modes,
+        "couplings": [{"a": "cavity", "b": "atom", "g_mhz": "16"}],
+        "drive": [{"label": "cavity", "re": 1.0}],
     }))
     path = tmp_path / "cfg.json"
     path.write_text(text)

@@ -282,6 +282,14 @@ def test_mode_rejects_bad_inputs():
     for label in (5, None, ["x"], True):
         with pytest.raises(InvalidNetworkError):
             Mode(label, "emitter", 0.0, 1.0)
+    for bad in ("a", "1", True, False, None, [1.0], 1 + 0j, 10**400):
+        with pytest.raises(InvalidNetworkError, match="frequency"):
+            Mode("x", "emitter", bad, 1.0)
+        with pytest.raises(InvalidNetworkError, match="decay"):
+            Mode("x", "emitter", 0.0, bad)
+    # ints and numpy scalars are numbers
+    Mode("x", "emitter", 0, 1)
+    Mode("x", "emitter", np.float32(0.5), np.int64(2))
 
 
 def _modes2():
@@ -387,6 +395,12 @@ def test_dict_schema_rejects_bad_couplings():
         with pytest.raises(InvalidNetworkError):
             network_from_dict(bad)
 
+    for g in ("16", True, None, [16.0], 10**400):
+        bad = json.loads(json.dumps(doc))
+        bad["couplings"][0]["g_mhz"] = g
+        with pytest.raises(InvalidNetworkError, match="g_mhz must be"):
+            network_from_dict(bad)
+
 
 def test_dict_schema_rejects_unknown_drive_label():
     doc = network_to_dict(two_mode_network())
@@ -397,6 +411,13 @@ def test_dict_schema_rejects_unknown_drive_label():
     doc["drive"][0]["label"] = ["cavity"]
     with pytest.raises(InvalidNetworkError):
         network_from_dict(doc)
+
+    for key in ("re", "im"):
+        for value in ("1", True, None, 10**400):
+            bad = network_to_dict(two_mode_network())
+            bad["drive"][0][key] = value
+            with pytest.raises(InvalidNetworkError, match=rf"\b{key} must be"):
+                network_from_dict(bad)
 
     for drive in (None, 7, {"label": "cavity"}):
         doc["drive"] = drive
@@ -410,4 +431,11 @@ def test_dict_schema_rejects_non_string_mode_labels():
         bad = json.loads(json.dumps(doc))
         bad["modes"][0]["label"] = label
         with pytest.raises(InvalidNetworkError):
+            network_from_dict(bad)
+
+    for key, value in (("frequency_mhz", "0"), ("frequency_mhz", True), ("decay_mhz", True),
+                       ("decay_mhz", "1.5"), ("decay_mhz", None), ("frequency_mhz", 10**400)):
+        bad = json.loads(json.dumps(doc))
+        bad["modes"][0][key] = value
+        with pytest.raises(InvalidNetworkError, match=rf"{key} must be"):
             network_from_dict(bad)

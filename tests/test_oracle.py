@@ -97,9 +97,9 @@ def kron_reference_density_matrix(params, cutoff):
     return np.linalg.solve(lv, rhs).reshape(dim, dim, order="F")
 
 
-def test_in_place_assembly_matches_kron_reference():
+def test_block_solve_matches_kron_reference():
     rng = np.random.default_rng(5)
-    for cutoff in range(1, 9):
+    for cutoff in range(1, 13):
         draws = [
             dict(g=0.0, delta_pe=rng.uniform(-20, 20), delta_pr=rng.uniform(-20, 20), eta=1.0),
             dict(g=rng.uniform(-20, 20), delta_pe=2.0, delta_pr=-1.0, eta=0.0),
@@ -108,8 +108,12 @@ def test_in_place_assembly_matches_kron_reference():
                  delta_pr=rng.uniform(-20, 20), eta=rng.uniform(0.0, 3.0))
             for _ in range(3)
         ]
+        if cutoff == 12:  # strong drive: eta/kappa = 5 fills every D block
+            draws.append(dict(g=16.0, delta_pe=rng.uniform(-20, 20),
+                              delta_pr=rng.uniform(-20, 20), eta=7.5, kappa=1.5))
         for kw in draws:
-            params = JCParams(gamma=rng.uniform(0.5, 4.0), kappa=rng.uniform(0.5, 4.0), **kw)
+            kw = dict(gamma=rng.uniform(0.5, 4.0), kappa=rng.uniform(0.5, 4.0)) | kw
+            params = JCParams(**kw)
             np.testing.assert_allclose(
                 steady_density_matrix(params, cutoff),
                 kron_reference_density_matrix(params, cutoff),
@@ -117,12 +121,11 @@ def test_in_place_assembly_matches_kron_reference():
             )
 
 
-def test_solve_peak_memory_is_one_liouvillian():
-    # the assembly holds one (dim^2)^2 complex matrix; LAPACK's copy of it is
-    # allocated outside Python's tracked heap
+def test_block_solve_never_forms_the_dense_liouvillian():
+    # at cutoff 20 the dense (dim^2)^2 complex Liouvillian alone is 47.5 MiB;
+    # the blocks and their continued fraction stay far below that
     params = JCParams(delta_pe=3.0, delta_pr=0.0, eta=1.5, **REF)
-    cutoff = 14
-    n = (2 * (cutoff + 1)) ** 2
+    cutoff = 20
     steady_density_matrix(params, cutoff)  # warm-up
     tracemalloc.start()
     try:
@@ -130,7 +133,7 @@ def test_solve_peak_memory_is_one_liouvillian():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 16 * n * n
+    assert peak <= 16 * 2**20
 
 
 # -------------------------------------------------------- linear weak drive
@@ -231,6 +234,9 @@ def test_cutoff_convergence_failure_raises():
 def test_undriven_state_has_no_g2():
     with pytest.raises(GSquaredUndefinedError):
         lindblad_steady_state(JCParams(delta_pe=0.0, delta_pr=0.0, eta=0.0, **REF))
+    # <n> ~ 1e-278 is positive, but <n>^2 underflows to zero
+    with pytest.raises(GSquaredUndefinedError):
+        lindblad_steady_state(JCParams(delta_pe=0.0, delta_pr=0.0, eta=9e-138, **REF))
 
 
 # -------------------------------------------------------- photon statistics
