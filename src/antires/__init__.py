@@ -16,7 +16,6 @@ from .network import (
     ProbeGrid,
     SingularResponseError,
     SteadyState,
-    build_dynamical_matrix,
     closed_form_two_mode,
     load_network,
     save_network,

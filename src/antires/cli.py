@@ -39,6 +39,7 @@ from .network import (
     InvalidNetworkError,
     ModeNetwork,
     ProbeGrid,
+    _finite_real,
     load_network,
     network_to_dict,
     steady_state,
@@ -149,10 +150,10 @@ _PASSTHROUGH_KEYS = frozenset({"network_params"})
 def _accepts(default: Any, value: Any) -> bool:
     """Whether ``value`` has the JSON type of ``default``.
 
-    An int needs an int and a float takes a float or an int within float
-    range, never a bool; a list's items are checked against the default's
-    first item.  The one null default (scan2d's detuning ``values``) takes
-    null or a list of numbers.
+    An int needs an int and a float takes a finite float or an int within
+    float range, never a bool; a list's items are checked against the
+    default's first item.  The one null default (scan2d's detuning
+    ``values``) takes null or a list of numbers.
     """
     if default is None:
         return value is None or _accepts([0.0], value)
@@ -161,12 +162,7 @@ def _accepts(default: Any, value: Any) -> bool:
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, float):
-        if isinstance(value, int) and not isinstance(value, bool):
-            try:
-                return math.isfinite(float(value))
-            except OverflowError:
-                return False
-        return isinstance(value, float)
+        return _finite_real(value)
     if isinstance(default, list):
         return isinstance(value, list) and all(_accepts(default[0], v) for v in value)
     return isinstance(value, type(default))

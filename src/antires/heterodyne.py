@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .fitting import PhaseHistogram
+from .network import _finite_real
 from .output import write_csv
 
 
@@ -54,8 +55,8 @@ class BeatNoteConfig:
     def __post_init__(self) -> None:
         for name in ("if_freq_mhz", "sample_rate_msps", "window_us", "reference_amplitude"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if not _finite_real(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.if_freq_mhz <= 0.0:
             raise ConfigError(f"beat frequency must be positive, got {self.if_freq_mhz}")
         if self.sample_rate_msps <= 2.0 * self.if_freq_mhz:

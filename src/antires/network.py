@@ -214,8 +214,10 @@ class ProbeGrid:
     points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("grid endpoints must be finite")
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ValueError(f"grid {name} must be a finite number, got {value!r}")
         if self.stop <= self.start:
             raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
         if isinstance(self.points, bool) or not isinstance(self.points, int) or self.points < 2:
@@ -252,14 +254,6 @@ def _mode_matrix(network: ModeNetwork) -> np.ndarray:
     return a
 
 
-def build_dynamical_matrix(network: ModeNetwork, probe: float) -> np.ndarray:
-    """Dense complex matrix ``M(probe) = probe*I - A`` of the linear
-    steady-state equations, assembled without forming ``A`` first."""
-    m = np.negative(network.couplings, dtype=complex)
-    m.ravel()[:: len(network) + 1] = probe - network._diagonal
-    return m
-
-
 def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
@@ -267,7 +261,8 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     its stacking overhead.
     """
     network.driven_label()  # validates the drive is not identically zero
-    m = build_dynamical_matrix(network, probe)
+    m = -_mode_matrix(network)
+    m.ravel()[:: len(network) + 1] += probe
     try:
         amps = np.linalg.solve(m, network.drive)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - strictly lossy => regular

@@ -37,6 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .network import _finite_real
+
 
 class DensityMatrixError(RuntimeError):
     """Steady-state density matrix violated a validity invariant."""
@@ -69,14 +71,14 @@ class JCParams:
     cutoff: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "kappa", "g", "delta_pe", "delta_pr", "eta"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("gamma", "kappa"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"decay rate {name} must be finite and positive, got {value}")
-        for name in ("g", "delta_pe", "delta_pr", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not value > 0.0:
+                raise ValueError(f"decay rate {name} must be positive, got {value}")
         if self.eta < 0.0:
             raise ValueError("drive amplitude eta must be non-negative")
         if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, int) or self.cutoff < 1:

@@ -26,6 +26,7 @@ import numpy as np
 from .network import (
     ModeNetwork,
     ProbeGrid,
+    _finite_real,
     _mode_matrix,
     family_chunk,
     steady_state_batch,
@@ -470,14 +471,22 @@ class MotionEnsemble:
     seed: int = 2024
 
     def __post_init__(self) -> None:
+        if not _finite_real(self.scale_mean):
+            raise ValueError(f"scale_mean must be a finite number, got {self.scale_mean!r}")
+        for name in ("scale_sigma", "frequency_jitter"):
+            value = getattr(self, name)
+            if not (_finite_real(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite, non-negative number, got {value!r}")
+        if len(self.scale_bounds) != 2 or not all(map(_finite_real, self.scale_bounds)):
+            raise ValueError(
+                f"scale_bounds must hold two finite numbers, got {self.scale_bounds!r}"
+            )
         lo, hi = self.scale_bounds
         if not (0.0 < lo < hi <= 1.0):
             raise ValueError(
                 f"scale_bounds must satisfy 0 < lo < hi <= 1 (a coupling can only be "
                 f"reduced), got {self.scale_bounds}"
             )
-        if not (0.0 <= self.scale_sigma < math.inf and 0.0 <= self.frequency_jitter < math.inf):
-            raise ValueError("scale_sigma and frequency_jitter must be finite and non-negative")
         if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
         if self.scale_sigma > 0.0:

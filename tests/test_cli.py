@@ -18,7 +18,13 @@ from antires.cli import DEFAULTS, main
 from antires.network import ModeNetwork, Mode, ProbeGrid, save_network, steady_state
 from antires.oracle import CutoffConvergenceError, DensityMatrixError
 from antires.presets import emitter_resonator
-from antires.spectra import MotionEnsemble, ensemble_mean_amplitudes, read_spectrum_csv, sweep
+from antires.spectra import (
+    MotionEnsemble,
+    detect_antiresonances_numeric,
+    ensemble_mean_amplitudes,
+    read_spectrum_csv,
+    sweep,
+)
 
 
 def run_cli(*argv):
@@ -177,6 +183,32 @@ def test_stark_scan_matches_per_power_solves(tmp_path, motion):
             amps.append(steady_state(net, 0.0).amplitude("cavity"))
     phase = np.degrees(np.unwrap(np.angle(np.asarray(amps))))
     assert [r[2] for r in rows] == [f"{v:.17g}" for v in phase]
+
+
+def test_scan2d_matches_per_row_sweeps(tmp_path):
+    rows = [-20.0, -7.5, 0.0, 12.5]
+    grid = ProbeGrid(-30.0, 30.0, 601)
+    cfg = write_config(tmp_path, {"grid": {"start": grid.start, "stop": grid.stop,
+                                           "points": grid.points},
+                                  "detuning": {"values": rows}})
+    out = tmp_path / "run"
+    assert run_cli("scan2d", "--config", cfg, "--out", str(out))[0] == 0
+    csv_rows = [line.split(",") for line in (out / "scan2d.csv").read_text().splitlines()[1:]]
+    report = json.loads((out / "scan2d_report.json").read_text())
+    assert len(csv_rows) == len(rows) * grid.points
+    for k, d in enumerate(rows):
+        spectrum = sweep(emitter_resonator(delta_er=-d), grid)
+        col = spectrum.amplitudes[:, spectrum.labels.index("cavity")]
+        phase = np.degrees(np.unwrap(np.angle(col)))
+        block = csv_rows[k * grid.points:(k + 1) * grid.points]
+        assert [r[0] for r in block] == [f"{d:.17g}"] * grid.points
+        assert [r[1] for r in block] == [f"{v:.17g}" for v in grid.frequencies()]
+        assert [r[2] for r in block] == [f"{v:.17g}" for v in phase]
+        assert [r[3] for r in block] == [f"{v:.17g}" for v in np.abs(col)]
+        (zero,) = [z for z in detect_antiresonances_numeric(spectrum, "cavity")
+                   if not z.at_boundary]
+        assert report["rows"][k]["zero_center_mhz"] == zero.center
+        assert report["rows"][k]["zero_half_width_mhz"] == zero.half_width
 
 
 def test_stark_scan_unreachable_motion_window_exits_2(tmp_path):
@@ -363,6 +395,11 @@ def test_malformed_config_is_rejected(tmp_path):
     ("stark-scan", '{"powers": {"points": 0}}', "points"),
     ("stark-scan", '{"motion": {"frequency_jitter": Infinity}}', "frequency_jitter"),
     ("heterodyne-demo", '{"beat": {"sample_rate_msps": Infinity}}', "sample_rate_msps"),
+    ("characterize", '{"rel_tol": NaN}', "rel_tol"),
+    ("oracle-check", '{"deviation_limit": NaN}', "deviation_limit"),
+    ("spectrum", '{"motion": {"enabled": true, "scale_mean": NaN, "scale_sigma": 0.0}}',
+     "scale_mean"),
+    ("oracle-check", '{"eta_over_kappa": [NaN]}', "eta_over_kappa"),
     pytest.param("spectrum", '{"grid": {"start": 1%s}}' % ("0" * 400), "start",
                  id="spectrum-401-digit-start"),
     pytest.param("spectrum", '{"network": "bad_network.json"}', "couplings",

@@ -49,7 +49,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BeatNoteConfig(snr_per_window=math.nan)
     for field in ("if_freq_mhz", "sample_rate_msps", "window_us", "reference_amplitude"):
-        for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf, True, "10"):
             with pytest.raises(ConfigError, match=field):
                 BeatNoteConfig(**{field: value})
 

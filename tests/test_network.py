@@ -12,7 +12,7 @@ from antires.network import (
     Mode,
     ModeNetwork,
     ProbeGrid,
-    build_dynamical_matrix,
+    _mode_matrix,
     closed_form_two_mode,
     family_chunk,
     load_network,
@@ -31,20 +31,25 @@ from helpers import two_mode_network
 # ---------------------------------------------------------------- matrices
 
 
+def response_matrix(net, probe):
+    """``M(probe) = probe*I - A``, the matrix every steady-state solve inverts."""
+    return probe * np.eye(len(net)) - _mode_matrix(net)
+
+
 def test_single_mode_matrix_on_resonance():
     net = ModeNetwork(
         modes=(Mode("c", "resonator", 0.0, 1.5),),
         couplings=np.zeros((1, 1)),
         drive=np.array([1.0 + 0j]),
     )
-    m = build_dynamical_matrix(net, probe=0.0)
+    m = response_matrix(net, 0.0)
     assert m.shape == (1, 1)
     assert m[0, 0] == 0.0 + 1.5j
 
 
 def test_two_mode_matrix_entries():
     net = two_mode_network(delta_er=-3.0, coupling=16.0)
-    m = build_dynamical_matrix(net, probe=0.0)
+    m = response_matrix(net, 0.0)
     # probe - frequency on the diagonal real part, decay on the imaginary
     assert m[0, 0] == pytest.approx(0.0 + 1.5j)
     assert m[1, 1] == pytest.approx(3.0 + 3.0j)
@@ -68,7 +73,7 @@ def test_matrix_determinant_matches_closed_form_denominator():
             couplings=np.array([[0.0, g], [g, 0.0]]),
             drive=np.array([1.0 + 0j, 0.0 + 0j]),
         )
-        m = build_dynamical_matrix(net, probe=probe)
+        m = response_matrix(net, probe)
         dpa = probe - f_a
         dpc = probe - f_c
         expected = (dpa + 1j * gam) * (dpc + 1j * kap) - g * g
@@ -265,6 +270,11 @@ def test_probe_grid_step_and_frequencies():
     for points in (2.5, 11.0, True, "11"):
         with pytest.raises(ValueError):
             ProbeGrid(0.0, 1.0, points)
+    for bad in (True, "a", np.nan, np.inf, 10**400):
+        with pytest.raises(ValueError, match="start"):
+            ProbeGrid(bad, 2.0, 3)
+        with pytest.raises(ValueError, match="stop"):
+            ProbeGrid(-2.0, bad, 3)
 
 
 # -------------------------------------------------------------- validation

@@ -44,10 +44,16 @@ def test_params_validation():
     for cutoff in (0, 2.5, 4.0, True):
         with pytest.raises(ValueError):
             JCParams(gamma=3.0, kappa=1.5, g=16.0, cutoff=cutoff)
+    for gamma in (True, "3", None):
+        with pytest.raises(ValueError, match="gamma"):
+            JCParams(gamma=gamma, kappa=1.5, g=16.0)
+    for eta in (False, "0.1"):
+        with pytest.raises(ValueError, match="eta"):
+            JCParams(gamma=3.0, kappa=1.5, g=16.0, eta=eta)
 
 
 @pytest.mark.parametrize("field", ["gamma", "kappa", "g", "delta_pe", "delta_pr", "eta"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0"])
 def test_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         JCParams(**{"gamma": 3.0, "kappa": 1.5, "g": 16.0, field: value})

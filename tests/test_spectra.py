@@ -436,6 +436,13 @@ def test_scale_bounds_validation():
     for samples in (2.5, 8.0, True, "8"):
         with pytest.raises(ValueError):
             MotionEnsemble(samples=samples)
+    for field in ("scale_mean", "scale_sigma", "frequency_jitter"):
+        for value in (True, "x", math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                MotionEnsemble(**{field: value})
+    for bounds in ((True, 1.0), (0.5, "1"), (math.nan, 1.0), (0.5, math.inf), (0.5, 0.7, 0.9)):
+        with pytest.raises(ValueError, match="scale_bounds"):
+            MotionEnsemble(scale_bounds=bounds)
 
 
 def test_draw_is_member_k_of_the_family_arrays():
@@ -471,7 +478,7 @@ def test_unreachable_truncation_window_is_rejected():
     # N(0.1, 0.01) essentially never lands in (0.5, 1]: rejection sampling would spin forever
     with pytest.raises(ValueError, match="unreachable"):
         MotionEnsemble(scale_mean=0.1, scale_sigma=0.01, scale_bounds=(0.5, 1.0))
-    with pytest.raises(ValueError, match="unreachable"):
+    with pytest.raises(ValueError, match="scale_mean"):
         MotionEnsemble(scale_mean=math.nan)
     with pytest.raises(ValueError, match="non-negative"):
         MotionEnsemble(scale_sigma=math.nan)
