@@ -42,7 +42,7 @@ from .network import (
     _finite_real,
     load_network,
     network_to_dict,
-    steady_state,
+    steady_state_batch,
     steady_state_family,
 )
 from .output import write_csv, write_json
@@ -134,9 +134,8 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A resolved run request: scenario name, merged options, output dir, seed."""
+    """A resolved run request: merged options, output dir, seed."""
 
-    scenario: str
     options: dict
     out_dir: Path
     seed: int
@@ -207,12 +206,7 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError("config file must hold a JSON object")
         options = _merge(options, user)
     seed = args.seed if args.seed is not None else 2024
-    return ScenarioConfig(
-        scenario=args.command,
-        options=options,
-        out_dir=Path(args.out),
-        seed=seed,
-    )
+    return ScenarioConfig(options=options, out_dir=Path(args.out), seed=seed)
 
 
 def _preset(name: str, params: dict) -> ModeNetwork:
@@ -248,11 +242,26 @@ def _ensemble_from(options: dict, seed: int) -> MotionEnsemble:
     )
 
 
-def _emitter_offsets(network: ModeNetwork, detunings) -> np.ndarray:
-    """Family frequency shifts that put the emitters at ``-detuning``, one row each."""
-    offsets = np.zeros((len(detunings), len(network)))
-    offsets[:, network.emitter_mask] = -np.asarray(detunings, dtype=float)[:, None]
-    return offsets
+def _emitter_scan(
+    command: str,
+    opts: dict,
+    detunings,
+    probes,
+    ensemble: MotionEnsemble | None = None,
+) -> np.ndarray:
+    """Driven-mode amplitudes of the emitter-resonator preset with its emitter
+    put at ``-detuning``, shape ``(len(detunings), len(probes))``: one family
+    solve, averaged over ``ensemble`` when one is given."""
+    if "delta_er" in opts["network_params"]:
+        raise ConfigError(f"{command} sets the emitter frequency itself; drop delta_er")
+    base = _preset("emitter-resonator", {"delta_er": 0.0, **opts["network_params"]})
+    offsets = np.zeros((len(detunings), len(base)))
+    offsets[:, base.emitter_mask] = -np.asarray(detunings, dtype=float)[:, None]
+    if ensemble is None:
+        amps = steady_state_family(base, offsets, np.ones(len(offsets)), probes)
+    else:
+        amps = ensemble_mean_family(base, offsets, probes, ensemble)
+    return amps[..., base.index(base.driven_label())]
 
 
 def _fmt_zero(z) -> str:
@@ -267,7 +276,7 @@ def _fmt_zero(z) -> str:
 def cmd_spectrum(cfg: ScenarioConfig) -> int:
     opts = cfg.options
     net = _resolve_network(opts)
-    grid = ProbeGrid(**{k: opts["grid"][k] for k in ("start", "stop", "points")})
+    grid = ProbeGrid(**opts["grid"])
     if opts["motion"]["enabled"]:
         ensemble = _ensemble_from(opts["motion"], cfg.seed)
         spectrum = motion_average(net, grid, ensemble)
@@ -282,7 +291,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     report = poles_zeros_report(poles, zeros)
     report["detected"] = poles_zeros_report([], detected)["antiresonances"]
     report["network"] = network_to_dict(net)
-    report["grid"] = {"start": grid.start, "stop": grid.stop, "points": grid.points}
+    report["grid"] = opts["grid"]
     report["motion_enabled"] = bool(opts["motion"]["enabled"])
     write_json(report, cfg.out_dir / "spectrum_report.json")
 
@@ -304,32 +313,21 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
 
 def cmd_scan2d(cfg: ScenarioConfig) -> int:
     opts = cfg.options
-    grid = ProbeGrid(**{k: opts["grid"][k] for k in ("start", "stop", "points")})
-    if "delta_er" in opts["network_params"]:
-        raise ConfigError("scan2d sets the emitter frequency per row; drop delta_er")
+    grid = ProbeGrid(**opts["grid"])
     det = opts["detuning"]
     if det.get("values"):
         rows = [float(v) for v in det["values"]]
     else:
         rows = np.linspace(det["start"], det["stop"], int(det["points"])).tolist()
 
-    base = _preset("emitter-resonator", {"delta_er": 0.0, **opts["network_params"]})
-    drive_label = base.driven_label()
-    amps = steady_state_family(
-        base, _emitter_offsets(base, rows), np.ones(len(rows)), grid.frequencies()
-    )
+    amps = _emitter_scan("scan2d", opts, rows, grid.frequencies())
+    phase_deg = np.degrees(np.unwrap(np.angle(amps), axis=1))
+    max_abs_phase = float(np.abs(phase_deg).max(initial=0.0))
 
     row_reports = []
-    phase_rows, mag_rows = [], []
-    max_abs_phase = 0.0
     for d, row_amps in zip(rows, amps):
-        spectrum = ComplexSpectrum(grid=grid, labels=base.labels, amplitudes=row_amps)
-        phase_deg = np.degrees(spectrum.phase_unwrapped(drive_label))
-        mag = spectrum.magnitude(drive_label)
-        max_abs_phase = max(max_abs_phase, float(np.max(np.abs(phase_deg))))
-        phase_rows.append(phase_deg)
-        mag_rows.append(mag)
-        zeros = [z for z in detect_antiresonances_numeric(spectrum, drive_label,
+        spectrum = ComplexSpectrum(grid=grid, labels=("driven",), amplitudes=row_amps[:, None])
+        zeros = [z for z in detect_antiresonances_numeric(spectrum, "driven",
                                                           opts["prominence_db"])
                  if not z.at_boundary]
         if zeros:
@@ -355,12 +353,12 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
         cfg.out_dir / "scan2d.csv",
         ["detuning_mhz", "probe_mhz", "phase_deg", "magnitude"],
         [np.repeat(rows, grid.points), np.tile(grid.frequencies(), len(rows)),
-         np.ravel(phase_rows), np.ravel(mag_rows)],
+         phase_deg.ravel(), np.abs(amps).ravel()],
     )
 
     all_within = all(r["within_one_step"] for r in row_reports)
     report = {
-        "grid": {"start": grid.start, "stop": grid.stop, "points": grid.points},
+        "grid": opts["grid"],
         "rows": row_reports,
         "all_within_one_step": all_within,
         "max_abs_phase_deg": max_abs_phase,
@@ -384,17 +382,9 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
     powers = np.linspace(pw["start_nw"], pw["stop_nw"], int(pw["points"]))
     detunings = np.asarray(cal.power_to_detuning(powers))
 
-    if "delta_er" in opts["network_params"]:
-        raise ConfigError("stark-scan sets the emitter frequency per power; drop delta_er")
     motion = opts["motion"]["enabled"]
-    base = _preset("emitter-resonator", {"delta_er": 0.0, **opts["network_params"]})
-    idx = base.index(base.driven_label())
-    offsets = _emitter_offsets(base, detunings)
-    if motion:
-        ensemble = _ensemble_from(opts["motion"], cfg.seed)
-        amps = ensemble_mean_family(base, offsets, np.array([0.0]), ensemble)[:, 0, idx]
-    else:
-        amps = steady_state_family(base, offsets, np.ones(len(offsets)), [0.0])[:, 0, idx]
+    ensemble = _ensemble_from(opts["motion"], cfg.seed) if motion else None
+    amps = _emitter_scan("stark-scan", opts, detunings, [0.0], ensemble)[:, 0]
     phase_deg = np.degrees(np.unwrap(np.angle(amps)))
 
     fit = fit_arctan_phase(detunings, phase_deg, background=opts["fit"]["background"])
@@ -533,61 +523,55 @@ def cmd_oracle_check(cfg: ScenarioConfig) -> int:
     return 0 if ok else 1
 
 
+_POINT_COLUMNS = ("probe_mhz", "model_phase_deg", "fitted_mean_deg",
+                  "fitted_sigma_deg", "mean_err_deg", "within_3sigma")
+
+
 def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
     opts = cfg.options
-    net = _preset("emitter-resonator", {"delta_er": -3.0, **opts["network_params"]})
+    net = _preset("emitter-resonator", opts["network_params"])
     idx = net.index(net.driven_label())
     kappa = net.modes[idx].decay
     probe_points = [float(p) for p in opts["probe_points"]]
     windows = int(opts["windows"])
     bins = int(opts["bins"])
-
-    def beat_config(ref_amp: float, seed: int) -> BeatNoteConfig:
-        return BeatNoteConfig(
-            **opts["beat"],
-            snr_per_window=opts["snr_per_window"],
-            reference_amplitude=ref_amp,
-            seed=seed,
-        )
+    # demodulation reads only the timing fields, so one config serves every point
+    beat = BeatNoteConfig(**opts["beat"], snr_per_window=opts["snr_per_window"])
 
     def stream_seed(point: int, channel: int) -> int:
         return int(np.random.SeedSequence((cfg.seed, point, channel)).generate_state(1)[0])
 
+    fields = steady_state_batch(net, probe_points)[:, idx]
     point_rows = []
     hists = []
     all_within = True
-    for k, probe in enumerate(probe_points):
-        field_sys = steady_state(net, probe).amplitude(net.modes[idx].label)
+    for k, (probe, field_sys) in enumerate(zip(probe_points, fields)):
         field_ref = net.drive[idx] / ((probe - net.modes[idx].frequency) + 1j * kappa)
         model_diff = math.degrees(
             (np.angle(field_sys) - np.angle(field_ref) + math.pi) % (2 * math.pi) - math.pi
         )
 
         ref_amp = abs(field_ref)
-        trace_sys = synthesize(field_sys, beat_config(ref_amp, stream_seed(k, 0)), windows)
-        trace_ref = synthesize(field_ref, beat_config(ref_amp, stream_seed(k, 1)), windows)
+        trace_sys = synthesize(field_sys, replace(beat, reference_amplitude=ref_amp,
+                                                  seed=stream_seed(k, 0)), windows)
+        trace_ref = synthesize(field_ref, replace(beat, reference_amplitude=ref_amp,
+                                                  seed=stream_seed(k, 1)), windows)
         if k == 0:
-            one_window = beat_config(ref_amp, 0).samples_per_window
-            write_trace_csv(trace_sys[:one_window], beat_config(ref_amp, 0),
+            write_trace_csv(trace_sys[:beat.samples_per_window], beat,
                             cfg.out_dir / "trace_example.csv")
-        _, ph_sys = demodulate(trace_sys, beat_config(ref_amp, 0))
-        _, ph_ref = demodulate(trace_ref, beat_config(ref_amp, 0))
+        _, ph_sys = demodulate(trace_sys, beat)
+        _, ph_ref = demodulate(trace_ref, beat)
         hist = accumulate_histogram(ph_sys, ph_ref, bins=bins)
         fit = fit_periodic_gaussian(hist)
 
         err = max(fit.mean_err_deg, hist.bin_width / 2.0)
         resid = abs((fit.mean_deg - model_diff + 180.0) % 360.0 - 180.0)
-        within = resid <= 3.0 * err
+        within = bool(resid <= 3.0 * err)
         all_within &= within
         point_rows.append((probe, model_diff, fit.mean_deg, fit.sigma_deg, err, within))
         hists.append(hist)
 
-    write_csv(
-        cfg.out_dir / "heterodyne_points.csv",
-        ["probe_mhz", "model_phase_deg", "fitted_mean_deg",
-         "fitted_sigma_deg", "mean_err_deg", "within_3sigma"],
-        list(zip(*point_rows)),
-    )
+    write_csv(cfg.out_dir / "heterodyne_points.csv", _POINT_COLUMNS, list(zip(*point_rows)))
     write_csv(
         cfg.out_dir / "heterodyne_histograms.csv",
         ["probe_mhz", "bin_center_deg", "count", "normalized"],
@@ -600,17 +584,7 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         "snr_per_window": opts["snr_per_window"],
         "windows": windows,
         "bins": bins,
-        "points": [
-            {
-                "probe_mhz": p,
-                "model_phase_deg": m,
-                "fitted_mean_deg": f,
-                "fitted_sigma_deg": s,
-                "mean_err_deg": e,
-                "within_3sigma": bool(w),
-            }
-            for p, m, f, s, e, w in point_rows
-        ],
+        "points": [dict(zip(_POINT_COLUMNS, row)) for row in point_rows],
         "all_within_3sigma": bool(all_within),
     }
     write_json(report, cfg.out_dir / "heterodyne_report.json")

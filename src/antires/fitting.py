@@ -442,19 +442,6 @@ class PeriodicGaussianFit:
     mean_err_deg: float
     iterations: int
 
-    def to_report(self) -> dict:
-        return {
-            "model": "periodic_gaussian",
-            "parameters": {
-                "mean_deg": self.mean_deg,
-                "sigma_deg": self.sigma_deg,
-                "amplitude": self.amplitude,
-            },
-            "standard_errors": {"mean_deg": self.mean_err_deg},
-            "iterations": self.iterations,
-            "converged": True,
-        }
-
 
 def _wrap_deg(a: np.ndarray | float) -> np.ndarray | float:
     return (np.asarray(a) + 180.0) % 360.0 - 180.0

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .fitting import PhaseHistogram
-from .network import _finite_real
+from .network import _finite_real, _seed_value
 from .output import write_csv
 
 
@@ -76,10 +76,16 @@ class BeatNoteConfig:
             raise ConfigError(
                 f"window must hold an integer number (>= 2) of samples, got {n}"
             )
-        if self.snr_per_window is not None and not self.snr_per_window > 0.0:
-            raise ConfigError("snr_per_window must be positive (or None for noiseless)")
+        snr = self.snr_per_window
+        if snr is not None and not (_finite_real(snr) and snr > 0.0):
+            raise ConfigError(
+                f"snr_per_window must be a finite positive number (or None for noiseless), "
+                f"got {snr!r}"
+            )
         if self.reference_amplitude <= 0.0:
             raise ConfigError("reference_amplitude must be positive")
+        if not _seed_value(self.seed):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def samples_per_window(self) -> int:

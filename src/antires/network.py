@@ -27,9 +27,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO
 
 import numpy as np
+
+from .output import write_json
 
 MODE_KINDS = ("emitter", "resonator")
 
@@ -54,6 +55,13 @@ def _finite_real(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond float range
         return False
+
+
+def _seed_value(value: object) -> bool:
+    """Whether ``value`` is a non-negative int, never a bool: a valid RNG seed."""
+    return (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+    )
 
 
 def _json_number(value: object, key: str) -> float:
@@ -459,17 +467,9 @@ def network_from_dict(data: dict) -> ModeNetwork:
     return ModeNetwork(modes=tuple(modes), couplings=c, drive=d)
 
 
-def save_network(network: ModeNetwork, path: str | Path | IO[str]) -> None:
-    payload = json.dumps(network_to_dict(network), indent=2, sort_keys=True)
-    if hasattr(path, "write"):
-        path.write(payload + "\n")
-    else:
-        Path(path).write_text(payload + "\n")
+def save_network(network: ModeNetwork, path: str | Path) -> None:
+    write_json(network_to_dict(network), path)
 
 
-def load_network(path: str | Path | IO[str]) -> ModeNetwork:
-    if hasattr(path, "read"):
-        data = json.load(path)
-    else:
-        data = json.loads(Path(path).read_text())
-    return network_from_dict(data)
+def load_network(path: str | Path) -> ModeNetwork:
+    return network_from_dict(json.loads(Path(path).read_text()))

@@ -28,6 +28,7 @@ from .network import (
     ProbeGrid,
     _finite_real,
     _mode_matrix,
+    _seed_value,
     family_chunk,
     steady_state_batch,
     steady_state_family,
@@ -489,6 +490,8 @@ class MotionEnsemble:
             )
         if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        if not _seed_value(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scale_sigma > 0.0:
             # the rejection sampler needs ~1/acceptance normal draws per member
             spread = self.scale_sigma * math.sqrt(2.0)

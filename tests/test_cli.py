@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 import antires
 from antires import oracle as oracle_module
 from antires.cli import DEFAULTS, main
-from antires.network import ModeNetwork, Mode, ProbeGrid, save_network, steady_state
+from antires.network import (
+    Mode,
+    ModeNetwork,
+    ProbeGrid,
+    closed_form_two_mode,
+    save_network,
+    steady_state,
+)
 from antires.oracle import CutoffConvergenceError, DensityMatrixError
 from antires.presets import emitter_resonator
 from antires.spectra import (
@@ -119,13 +126,28 @@ def test_scan2d_tracks_reference_detunings(tmp_path):
     assert header == "detuning_mhz,probe_mhz,phase_deg,magnitude"
 
 
+def run_cli_stderr(*argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
 def test_scan2d_rejects_delta_er_override(tmp_path):
     cfg = write_config(tmp_path, {"network_params": {"delta_er": 4.0}})
-    code, _ = run_cli("scan2d", "--config", cfg, "--out", str(tmp_path / "x"))
+    code, err = run_cli_stderr("scan2d", "--config", cfg, "--out", str(tmp_path / "x"))
     assert code == 2
+    assert "delta_er" in err
 
 
 # -------------------------------------------------------------- stark-scan
+
+
+def test_stark_scan_rejects_delta_er_override(tmp_path):
+    cfg = write_config(tmp_path, {"network_params": {"delta_er": 4.0}})
+    code, err = run_cli_stderr("stark-scan", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "delta_er" in err
 
 
 def test_stark_scan_motionless(tmp_path):
@@ -333,6 +355,23 @@ def test_heterodyne_demo_small(tmp_path):
     assert len(hist_rows) == 1 + 3 * 72
     assert (out / "trace_example.csv").exists()
     assert (out / "heterodyne_points.csv").exists()
+
+
+def test_heterodyne_model_phase_matches_closed_form(tmp_path):
+    delta_er, g = 2.5, 11.0
+    probes = [-9.0, -2.0, 2.5, 7.0, 15.0]
+    cfg = write_config(tmp_path, {"network_params": {"delta_er": delta_er, "coupling": g},
+                                  "probe_points": probes, "windows": 20})
+    out = tmp_path / "run"
+    code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out))
+    assert code in (0, 1)
+    points = json.loads((out / "heterodyne_report.json").read_text())["points"]
+    p = np.array(probes)
+    system = closed_form_two_mode(p - delta_er, p, 3.0, 1.5, g)
+    empty = 1.0 / (p + 1.5j)
+    want = np.degrees((np.angle(system) - np.angle(empty) + np.pi) % (2 * np.pi) - np.pi)
+    assert [q["probe_mhz"] for q in points] == probes
+    np.testing.assert_allclose([q["model_phase_deg"] for q in points], want, rtol=0, atol=1e-9)
 
 
 def test_heterodyne_demo_deterministic(tmp_path):

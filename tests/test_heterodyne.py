@@ -52,6 +52,13 @@ def test_config_validation():
         for value in (math.nan, math.inf, True, "10"):
             with pytest.raises(ConfigError, match=field):
                 BeatNoteConfig(**{field: value})
+    for value in (True, "5", math.inf, math.nan, -1.0):
+        with pytest.raises(ConfigError, match="snr_per_window"):
+            BeatNoteConfig(snr_per_window=value)
+    for value in (True, "3", -1, 1.5):
+        with pytest.raises(ConfigError, match="seed"):
+            BeatNoteConfig(seed=value)
+    BeatNoteConfig(snr_per_window=None, seed=np.uint32(7))
 
 
 def test_noise_sigma_from_snr():

@@ -443,6 +443,9 @@ def test_scale_bounds_validation():
     for bounds in ((True, 1.0), (0.5, "1"), (math.nan, 1.0), (0.5, math.inf), (0.5, 0.7, 0.9)):
         with pytest.raises(ValueError, match="scale_bounds"):
             MotionEnsemble(scale_bounds=bounds)
+    for seed in (True, "3", -1, 2.0):
+        with pytest.raises(ValueError, match="seed"):
+            MotionEnsemble(seed=seed)
 
 
 def test_draw_is_member_k_of_the_family_arrays():
@@ -487,17 +490,6 @@ def test_unreachable_truncation_window_is_rejected():
     # a narrow window that is still reachable keeps the rejection sampler
     MotionEnsemble(scale_mean=0.3, scale_sigma=0.05, scale_bounds=(0.5, 1.0))
     MotionEnsemble(scale_mean=0.1, scale_sigma=0.0, scale_bounds=(0.5, 1.0))  # clamped
-
-
-def test_thread_pool_reproduces_serial_result(monkeypatch):
-    net = emitter_resonator()
-    ens = MotionEnsemble(samples=12, seed=3)
-    probes = np.linspace(-10.0, 10.0, 51)
-    monkeypatch.delenv("ANTIRES_THREADS", raising=False)
-    serial = ensemble_mean_amplitudes(net, probes, ens)
-    monkeypatch.setenv("ANTIRES_THREADS", "3")
-    threaded = ensemble_mean_amplitudes(net, probes, ens)
-    np.testing.assert_array_equal(serial, threaded)
 
 
 # -------------------------------------------------------- loss localisation
