@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .fitting import (
     FitConvergenceError,
+    RankDeficiencyError,
     fit_arctan_phase,
     fit_periodic_gaussian,
     stark_calibration,
@@ -645,7 +646,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InvalidNetworkError, ValueError, GSquaredUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitConvergenceError, CutoffConvergenceError, DensityMatrixError) as exc:
+    except (FitConvergenceError, RankDeficiencyError, CutoffConvergenceError,
+            DensityMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import _finite_real
+from .network import _finite_real, closed_form_two_mode
 
 
 class DensityMatrixError(RuntimeError):
@@ -364,8 +364,9 @@ class LinearLimitReport:
 
     ``deviations[i]`` is the relative difference between the exact mean
     field and the coupled-mode amplitude at ``eta = eta_over_kappa[i] *
-    kappa``; driving weaker must push the exact solution onto the linear
-    one, so the sequence should fall monotonically.
+    kappa``, in input order.  Driving weaker must push the exact solution
+    onto the linear one, so ``monotone`` asks whether the deviations fall
+    from the strongest drive to the weakest.
     """
 
     eta_over_kappa: tuple[float, ...]
@@ -393,8 +394,6 @@ def linear_limit_check(
     The linear prediction is evaluated with drive ``eta`` on the resonator:
     ``eta (d_pe + i gamma) / ((d_pe + i gamma)(d_pr + i kappa) - g^2)``.
     """
-    from .network import closed_form_two_mode
-
     if not eta_over_kappa:
         raise ValueError("eta_over_kappa must list at least one drive ratio")
     devs = []
@@ -408,10 +407,10 @@ def linear_limit_check(
             params.delta_pe, params.delta_pr, params.gamma, params.kappa, params.g, eta
         )
         devs.append(abs(exact - linear) / abs(linear))
+    # judged from the strongest drive down, whatever the input order, with
     # slack for solver roundoff so equal-to-machine deviations still count
-    monotone = all(
-        devs[i + 1] <= devs[i] * (1.0 + 1e-6) + 1e-12 for i in range(len(devs) - 1)
-    )
+    ordered = [devs[k] for k in np.argsort(eta_over_kappa)[::-1]]
+    monotone = all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(ordered, ordered[1:]))
     return LinearLimitReport(
         eta_over_kappa=tuple(float(r) for r in eta_over_kappa),
         deviations=tuple(float(d) for d in devs),

@@ -198,6 +198,16 @@ def cancel_pole_zero_pairs(
 # Numeric antiresonance detection
 # ---------------------------------------------------------------------------
 
+def _nearest_hits(mask: np.ndarray, i: int) -> tuple[int, int]:
+    """Nearest indices strictly left and strictly right of ``i`` where
+    ``mask`` holds; -1 and ``mask.size`` stand for no hit on that side."""
+    hits = np.flatnonzero(mask)
+    k = int(np.searchsorted(hits, i))
+    left = int(hits[k - 1]) if k > 0 else -1
+    k = int(np.searchsorted(hits, i, side="right"))
+    return left, int(hits[k]) if k < hits.size else mask.size
+
+
 def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     """Indices of the local maxima of ``x`` whose prominence is >= ``prominence``.
 
@@ -214,11 +224,8 @@ def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
     peaks = []
     for i in (starts[runs] + starts[runs + 1] - 1) // 2:
-        higher = np.flatnonzero(x > x[i])
-        k = np.searchsorted(higher, i)
-        lo = higher[k - 1] + 1 if k > 0 else 0
-        hi = higher[k] if k < higher.size else x.size
-        if x[i] - max(x[lo : i + 1].min(), x[i:hi].min()) >= prominence:
+        lo, hi = _nearest_hits(x > x[i], i)
+        if x[i] - max(x[lo + 1 : i + 1].min(), x[i:hi].min()) >= prominence:
             peaks.append(i)
     return np.array(peaks, dtype=np.intp)
 
@@ -235,64 +242,20 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x[i] + np.clip(delta, -1.0, 1.0) * (x[i + 1] - x[i]))
 
 
-def _crossing_halfwidth(
-    probes: np.ndarray, phase: np.ndarray, center: float
-) -> float | None:
-    """Half-width estimate from the probe span of the pi/2 phase fall.
-
-    Across an isolated zero the unwrapped phase drops by pi following
-    ``-atan((probe - center)/half_width)``; the quarter-period points where
-    the phase has fallen by pi/4 on each side of the center sit one
-    half-width away.  Returns None when either crossing leaves the grid.
-    """
-    phi_c = float(np.interp(center, probes, phase))
-    lo = phase - (phi_c + np.pi / 4.0)  # positive side: left of center
-    hi = phase - (phi_c - np.pi / 4.0)  # negative side: right of center
-    start = min(int(np.searchsorted(probes, center)), len(probes) - 1)
-    left = None
-    for j in range(start, 0, -1):
-        if lo[j - 1] >= 0.0 >= lo[j] or lo[j - 1] <= 0.0 <= lo[j]:
-            left = probes[j - 1] + (probes[j] - probes[j - 1]) * (
-                (0.0 - lo[j - 1]) / (lo[j] - lo[j - 1])
-            )
-            break
-    right = None
-    for j in range(start, len(probes) - 1):
-        if hi[j] >= 0.0 >= hi[j + 1] or hi[j] <= 0.0 <= hi[j + 1]:
-            right = probes[j] + (probes[j + 1] - probes[j]) * (
-                (0.0 - hi[j]) / (hi[j + 1] - hi[j])
-            )
-            break
-    if left is not None and right is not None:
-        return float((right - left) / 2.0)
-    if left is not None:
-        return float(center - left)
-    if right is not None:
-        return float(right - center)
-    return None
-
-
 def _doubling_halfwidth(probes: np.ndarray, excitation: np.ndarray, i: int) -> float | None:
     """Half-width estimate from the excitation doubling points.
 
     Near a simple zero ``|a|^2 = B((probe-c)^2 + w^2)``, so the excitation
     reaches twice its dip value one half-width away on either side.  Taking
     the smaller of the two offsets keeps slanted backgrounds from inflating
-    the estimate.  Unlike the phase-fall span, this stays usable in crowded
-    spectra where neighbouring features distort the local phase.
+    the estimate.  Returns None when no sample on either side doubles.
     """
-    base = excitation[i]
-    left = None
-    for j in range(i - 1, -1, -1):
-        if excitation[j] >= 2.0 * base:
-            left = probes[i] - probes[j]
-            break
-    right = None
-    for j in range(i + 1, len(probes)):
-        if excitation[j] >= 2.0 * base:
-            right = probes[j] - probes[i]
-            break
-    offsets = [o for o in (left, right) if o is not None]
+    left, right = _nearest_hits(excitation >= 2.0 * excitation[i], i)
+    offsets = []
+    if left >= 0:
+        offsets.append(probes[i] - probes[left])
+    if right < probes.size:
+        offsets.append(probes[right] - probes[i])
     return float(min(offsets)) if offsets else None
 
 
@@ -381,10 +344,11 @@ def detect_antiresonances_numeric(
     ``prominence_db`` of prominence, a dip's prominence being its depth below
     the lower of the two highest levels met walking out on each side until
     the spectrum falls below the dip or the grid ends; each candidate gets a
-    parabolic center estimate plus a width seed (the phase-fall span when it
-    agrees with the excitation-doubling span, the doubling span otherwise),
-    then both are walked onto the zero by an iterated local rational fit of
-    the complex amplitude (see :func:`_rational_zero_refine`).  Minima pressed against
+    parabolic center estimate plus a width seed (the excitation-doubling
+    span, or two grid steps when no sample doubles), then both are walked
+    onto the zero by an iterated local rational fit of the complex amplitude,
+    which re-sizes its own window (see :func:`_refine_iteratively`), so the
+    seed need only be the right order of magnitude.  Minima pressed against
     either end of the grid are reported with ``at_boundary=True``, a NaN
     width, and no refinement -- the grid does not contain enough of the
     feature.
@@ -404,21 +368,15 @@ def detect_antiresonances_numeric(
     col = spectrum.column(drive_label)
     logmag = 20.0 * np.log10(np.maximum(np.abs(col), _MAG_FLOOR))
     dips = _prominent_peaks(-logmag, prominence_db)
-    phase = np.unwrap(np.angle(col))
 
     found: list[AntiresonanceZero] = []
     step = spectrum.grid.step
     excitation = np.abs(col) ** 2
     for i in dips:
         center0 = _parabolic_vertex(probes, logmag, int(i))
-        w_double = _doubling_halfwidth(probes, excitation, int(i))
-        w_phase = _crossing_halfwidth(probes, phase, center0)
-        if w_double is None:
-            width0 = w_phase if (w_phase and w_phase > 0.0) else 2.0 * step
-        elif w_phase is not None and w_double / 3.0 <= w_phase <= 3.0 * w_double:
-            width0 = w_phase
-        else:
-            width0 = w_double
+        width0 = _doubling_halfwidth(probes, excitation, int(i))
+        if width0 is None:
+            width0 = 2.0 * step
         refined = _refine_iteratively(probes, col, center0, width0, step)
         if refined is None:
             found.append(AntiresonanceZero(drive_label, center0, width0))
@@ -428,7 +386,7 @@ def detect_antiresonances_numeric(
     # A dip bottom cut off by the grid edge: the lowest sample of the scan
     # sits on the boundary AND the phase there falls steeply (the zero's
     # signature -- pole tails and plain rolloff have rising or gentle phase).
-    slopes = np.gradient(phase, probes)
+    slopes = np.gradient(np.unwrap(np.angle(col)), probes)
     steep = 2.0 * float(np.median(np.abs(slopes)))
     imin = int(np.argmin(logmag))
     if imin == 0 and slopes[0] < -steep:

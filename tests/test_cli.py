@@ -150,6 +150,28 @@ def test_stark_scan_rejects_delta_er_override(tmp_path):
     assert "delta_er" in err
 
 
+@pytest.mark.parametrize("payload", [
+    pytest.param({"calibration_points": [[1000.0, 0.0], [1000.0, 5.0]]},
+                 id="calibration-at-one-power"),
+    pytest.param({"network_params": {"coupling": 0.0}, "motion": {"enabled": False}},
+                 id="flat-phase"),
+])
+def test_stark_scan_rank_deficient_fit_exits_1_without_traceback(tmp_path, payload):
+    # a fit parameter the data cannot determine is a failed check, not a crash;
+    # only a fresh interpreter shows whether a traceback reaches stderr
+    cfg = write_config(tmp_path, payload)
+    src = os.path.dirname(os.path.dirname(antires.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "antires.cli", "stark-scan", "--config", cfg,
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_stark_scan_motionless(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -300,6 +322,19 @@ def test_oracle_check_passes(tmp_path):
     assert report["linear_limit"]["min_deviation"] < 1e-3
     assert report["g2"]["contrast"] >= 10.0
     assert report["params"]["g_mhz"] == 16.0
+
+
+def test_oracle_check_passes_an_ascending_drive_ladder(tmp_path):
+    ladder = [0.01, 0.03, 0.1, 0.3]
+    cfg = write_config(tmp_path, {"eta_over_kappa": ladder})
+    out = tmp_path / "run"
+    code, text = run_cli("oracle-check", "--config", cfg, "--out", str(out))
+    assert code == 0
+    assert text.strip().endswith("PASS")
+    limit = json.loads((out / "oracle_report.json").read_text())["linear_limit"]
+    assert limit["monotone_decreasing"] is True
+    assert limit["eta_over_kappa"] == ladder
+    assert limit["relative_deviations"] == sorted(limit["relative_deviations"])
 
 
 def test_oracle_check_can_fail(tmp_path):

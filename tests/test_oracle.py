@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from antires import oracle as oracle_module
 from antires.network import closed_form_two_mode
 from antires.oracle import (
     CutoffConvergenceError,
@@ -165,6 +167,31 @@ def test_weak_drive_approaches_coupled_mode_theory():
     # deviation at each step shrinks roughly linearly with the drive
     ratios = [a / b for a, b in zip(report.deviations, report.deviations[1:])]
     assert all(r > 2.0 for r in ratios)
+
+
+def test_monotonicity_is_judged_by_drive_strength_not_list_order():
+    base = JCParams(delta_pe=3.0, delta_pr=0.0, **REF)
+    ladder = (0.03, 0.3, 0.01, 0.1)
+    report = linear_limit_check(base, ladder)
+    assert report.monotone
+    # the deviations stay in input order
+    assert report.eta_over_kappa == ladder
+    reference = linear_limit_check(base)
+    by_ratio = dict(zip(reference.eta_over_kappa, reference.deviations))
+    assert report.deviations == tuple(by_ratio[r] for r in ladder)
+
+
+def test_deviation_growing_as_the_drive_weakens_is_not_monotone(monkeypatch):
+    def off_by_one_over_eta(params):
+        linear = closed_form_two_mode(
+            params.delta_pe, params.delta_pr, params.gamma, params.kappa, params.g, params.eta
+        )
+        return SimpleNamespace(mean_field=linear * (1.0 + 1e-3 / params.eta))
+
+    monkeypatch.setattr(oracle_module, "lindblad_steady_state", off_by_one_over_eta)
+    base = JCParams(**REF)
+    assert not linear_limit_check(base, (0.3, 0.1, 0.03, 0.01)).monotone
+    assert not linear_limit_check(base, (0.01, 0.03, 0.1, 0.3)).monotone
 
 
 def test_strong_drive_deviates_materially():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from antires import network as network_module
+from antires import spectra as spectra_module
 from antires.network import Mode, ModeNetwork, ProbeGrid, steady_state_batch
 from antires.presets import emitter_resonator, five_node_demo
 from antires.spectra import (
     AmbiguityError,
     ComplexSpectrum,
     MotionEnsemble,
+    _nearest_hits,
     _prominent_peaks,
     antiresonances,
     cancel_pole_zero_pairs,
@@ -288,6 +290,52 @@ def test_prominent_peaks_pins_the_peak_rule(x, prominence, expected):
     peaks = _prominent_peaks(np.array(x, dtype=float), prominence)
     assert peaks.dtype == np.intp
     assert peaks.tolist() == expected
+
+
+def _nearest_hits_by_walk(mask, i):
+    """Reference: step out from ``i`` one sample at a time until the mask holds."""
+    left = -1
+    for j in range(i - 1, -1, -1):
+        if mask[j]:
+            left = j
+            break
+    right = mask.size
+    for j in range(i + 1, mask.size):
+        if mask[j]:
+            right = j
+            break
+    return left, right
+
+
+def test_nearest_hits_matches_a_per_sample_walk():
+    rng = np.random.default_rng(11)
+    masks = [
+        np.zeros(9, dtype=bool),  # no hits
+        np.ones(9, dtype=bool),  # a hit at every i, itself included
+        np.r_[True, np.zeros(7, dtype=bool), True],  # hits at both ends only
+        np.array([True]),
+    ]
+    masks += [rng.random(int(rng.integers(1, 40))) < p for p in rng.uniform(0.0, 1.0, 200)]
+    for mask in masks:
+        for i in range(mask.size):
+            assert _nearest_hits(mask, i) == _nearest_hits_by_walk(mask, i)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_detected_zeros_do_not_depend_on_the_width_seed(monkeypatch, factor):
+    # the iterated rational fit re-sizes its own window, so a seed off by 2x
+    # in either direction must walk onto the same zero
+    cases = [(emitter_resonator(), 1e-9), (five_node_demo(), 1e-3)]
+    runs = [(sweep(net, GRID), net.driven_label(), tol) for net, tol in cases]
+    expected = [detect_antiresonances_numeric(spec, lab) for spec, lab, _ in runs]
+    seed = spectra_module._doubling_halfwidth
+    monkeypatch.setattr(spectra_module, "_doubling_halfwidth", lambda *a: factor * seed(*a))
+    for (spec, lab, tol), zeros in zip(runs, expected):
+        found = detect_antiresonances_numeric(spec, lab)
+        assert zeros and len(found) == len(zeros)
+        for got, want in zip(found, zeros):
+            assert abs(got.center - want.center) <= tol * want.half_width
+            assert abs(got.half_width - want.half_width) <= tol * want.half_width
 
 
 def test_detect_recovers_the_algebraic_zero():
