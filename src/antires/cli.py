@@ -30,9 +30,12 @@ from .fitting import (
     stark_calibration,
 )
 from .heterodyne import (
+    MAX_BINS,
+    MAX_WINDOWS,
     BeatNoteConfig,
+    _count,
     accumulate_histogram,
-    demodulate,
+    iq_law_windows,
     synthesize,
     write_trace_csv,
 )
@@ -534,13 +537,17 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
     idx = net.index(net.driven_label())
     kappa = net.modes[idx].decay
     probe_points = [float(p) for p in opts["probe_points"]]
-    windows = int(opts["windows"])
-    bins = int(opts["bins"])
-    # demodulation reads only the timing fields, so one config serves every point
+    # checked up front, so that a bad config fails even with no probe points
+    windows = _count("windows", opts["windows"], 1, MAX_WINDOWS)
+    bins = _count("bins", opts["bins"], 4, MAX_BINS)
+    # the SNR is quoted on the reference channel, so each point sets its own
+    # reference amplitude; the timing fields are shared
     beat = BeatNoteConfig(**opts["beat"], snr_per_window=opts["snr_per_window"])
 
-    def stream_seed(point: int, channel: int) -> int:
-        return int(np.random.SeedSequence((cfg.seed, point, channel)).generate_state(1)[0])
+    def phases(field: complex, config: BeatNoteConfig, point: int, channel: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, point, channel)))
+        iq = iq_law_windows(field, config, windows, rng)
+        return np.arctan2(-iq[:, 1], iq[:, 0])
 
     fields = steady_state_batch(net, probe_points)[:, idx]
     point_rows = []
@@ -552,17 +559,16 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
             (np.angle(field_sys) - np.angle(field_ref) + math.pi) % (2 * math.pi) - math.pi
         )
 
-        ref_amp = abs(field_ref)
-        trace_sys = synthesize(field_sys, replace(beat, reference_amplitude=ref_amp,
-                                                  seed=stream_seed(k, 0)), windows)
-        trace_ref = synthesize(field_ref, replace(beat, reference_amplitude=ref_amp,
-                                                  seed=stream_seed(k, 1)), windows)
+        point_beat = replace(beat, reference_amplitude=abs(field_ref))
+        # channel 0 is the system, channel 1 the empty-cavity reference
+        hist = accumulate_histogram(phases(field_sys, point_beat, k, 0),
+                                    phases(field_ref, point_beat, k, 1), bins=bins)
         if k == 0:
-            write_trace_csv(trace_sys[:beat.samples_per_window], beat,
+            # not one of the histogrammed windows: a single synthesized window
+            # whose seed is drawn from the (seed, 0, 0) stream
+            trace_seed = int(np.random.SeedSequence((cfg.seed, 0, 0)).generate_state(1)[0])
+            write_trace_csv(synthesize(field_sys, replace(point_beat, seed=trace_seed)), beat,
                             cfg.out_dir / "trace_example.csv")
-        _, ph_sys = demodulate(trace_sys, beat)
-        _, ph_ref = demodulate(trace_ref, beat)
-        hist = accumulate_histogram(ph_sys, ph_ref, bins=bins)
         fit = fit_periodic_gaussian(hist)
 
         err = max(fit.mean_err_deg, hist.bin_width / 2.0)
@@ -624,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stark-scan": "power-calibrated detuning scan with arctangent phase fit",
         "characterize": "locate the lossiest mode by comparing drive ports",
         "oracle-check": "validate the linear model against the exact quantum solver",
-        "heterodyne-demo": "synthesize beat notes and recover phases from histograms",
+        "heterodyne-demo": "draw heterodyne IQ windows and recover phases from histograms",
     }
     for name, text in help_lines.items():
         p = sub.add_parser(name, help=text)

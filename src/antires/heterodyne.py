@@ -9,6 +9,16 @@ Demodulation is a plain boxcar IQ sum over each window; with an integer
 number of beat periods per window this is the maximum-likelihood amplitude
 and phase estimator for white noise.  Phases are always used relative to a
 reference channel, so the arbitrary demodulation epoch cancels.
+
+Two paths give the IQ sums.  :func:`synthesize` builds the digitised trace
+and :func:`iq_windows` reduces it, window by window.  Because the sums are
+linear in the trace, a window's (I, Q) pair under white Gaussian noise is
+itself exactly Gaussian: its mean is the sum of the noiseless trace and its
+covariance is ``sigma^2 [[sum cos^2, sum cos sin], [sum cos sin, sum sin^2]]``
+over one window's carrier phases (not diagonal when the window leaks).
+:func:`iq_law_windows` draws the pairs from that law directly, in time
+linear in the window count plus the window length, with no trace; the CLI
+uses it, and the trace path stays for example traces and as the reference.
 """
 
 from __future__ import annotations
@@ -34,6 +44,21 @@ class LeakageWarning(UserWarning):
     """Non-integer beat periods per window: IQ sums pick up spectral leakage."""
 
 
+# Size caps, checked before an array of that size is allocated: samples in
+# one window, windows in one record, and histogram bins.
+MAX_SAMPLES_PER_WINDOW = 10**6
+MAX_WINDOWS = 10**6
+MAX_BINS = 3600
+
+
+def _count(name: str, value: object, low: int, high: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) in [low, high]."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BeatNoteConfig:
     """Acquisition settings for one heterodyne record.
@@ -42,7 +67,8 @@ class BeatNoteConfig:
     of magnitude ``reference_amplitude`` achieves in a single window; the
     per-sample noise sigma is derived from it.  ``None`` disables noise.
     The defaults (1 MHz beat, 50 MS/s, 10 us windows) give 500 samples and
-    exactly 10 beat periods per window.
+    exactly 10 beat periods per window; a window holds at most
+    ``MAX_SAMPLES_PER_WINDOW`` samples.
     """
 
     if_freq_mhz: float = 1.0
@@ -72,6 +98,11 @@ class BeatNoteConfig:
                 f"{self.if_freq_mhz * self.window_us}"
             )
         n = self.window_us * self.sample_rate_msps
+        if not n <= MAX_SAMPLES_PER_WINDOW:
+            raise ConfigError(
+                f"window_us * sample_rate_msps gives {n:g} samples per window, above "
+                f"the cap of {MAX_SAMPLES_PER_WINDOW}"
+            )
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ConfigError(
                 f"window must hold an integer number (>= 2) of samples, got {n}"
@@ -111,8 +142,7 @@ def synthesize(field: complex, config: BeatNoteConfig, windows: int = 1) -> np.n
     ``(config.seed, window_index)``, so traces are reproducible and windows
     are statistically independent.
     """
-    if windows < 1:
-        raise ValueError("windows must be >= 1")
+    windows = _count("windows", windows, 1, MAX_WINDOWS)
     n = config.samples_per_window
     t = np.arange(windows * n) / config.sample_rate_msps  # microseconds
     trace = abs(field) * np.cos(2.0 * math.pi * config.if_freq_mhz * t + np.angle(field))
@@ -122,6 +152,19 @@ def synthesize(field: complex, config: BeatNoteConfig, windows: int = 1) -> np.n
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, w)))
             trace[w * n : (w + 1) * n] += rng.normal(0.0, sigma, size=n)
     return trace
+
+
+def _carrier_phase(config: BeatNoteConfig) -> np.ndarray:
+    """Beat phase at each sample of one window, warning if the window leaks."""
+    p = config.periods_per_window
+    if abs(p - round(p)) > 1e-9:
+        warnings.warn(
+            f"{p} beat periods per window is not an integer; IQ sums will leak",
+            LeakageWarning,
+            stacklevel=3,
+        )
+    t = np.arange(config.samples_per_window) / config.sample_rate_msps
+    return 2.0 * math.pi * config.if_freq_mhz * t
 
 
 def iq_windows(trace: np.ndarray, config: BeatNoteConfig) -> np.ndarray:
@@ -138,17 +181,39 @@ def iq_windows(trace: np.ndarray, config: BeatNoteConfig) -> np.ndarray:
         raise ValueError(f"trace must hold at least one window of {n} samples")
     if trace.size % n != 0:
         raise ValueError(f"trace length {trace.size} is not a multiple of the window ({n})")
-    p = config.periods_per_window
-    if abs(p - round(p)) > 1e-9:
-        warnings.warn(
-            f"{p} beat periods per window is not an integer; IQ sums will leak",
-            LeakageWarning,
-            stacklevel=2,
-        )
-    t = np.arange(n) / config.sample_rate_msps
-    phase = 2.0 * math.pi * config.if_freq_mhz * t
+    phase = _carrier_phase(config)
     segments = trace.reshape(-1, n)
     return np.stack([segments @ np.cos(phase), segments @ np.sin(phase)], axis=1)
+
+
+def iq_law_windows(
+    field: complex, config: BeatNoteConfig, windows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """IQ sums of ``windows`` noisy windows, drawn from their exact law.
+
+    The same ``(windows, 2)`` quantity as ``iq_windows(synthesize(field,
+    config, windows), config)`` in distribution, without building the trace:
+    window ``w``'s mean is ``Re(field * exp(i omega w T) * u)`` with ``T``
+    the window length and ``u = [sum e^{i phi} cos phi, sum e^{i phi} sin phi]``
+    over the window's carrier phases ``phi``, and its noise is
+    ``rng.standard_normal((windows, 2))`` mapped through the Cholesky factor
+    of the sums' covariance.  Row ``w`` depends only on the generator's
+    stream and ``w``, so a longer record extends a shorter one.  Warns with
+    :class:`LeakageWarning` like :func:`iq_windows`.
+    """
+    windows = _count("windows", windows, 1, MAX_WINDOWS)
+    phase = _carrier_phase(config)
+    basis = np.stack([np.cos(phase), np.sin(phase)])
+    u = basis @ np.exp(1j * phase)
+    t0 = np.arange(windows) * config.samples_per_window / config.sample_rate_msps
+    iq = (field * np.exp(1j * (2.0 * math.pi * config.if_freq_mhz * t0))[:, None] * u).real
+    sigma = config.noise_sigma
+    if sigma > 0.0:
+        chol = np.linalg.cholesky(sigma**2 * (basis @ basis.T))
+        z = rng.standard_normal((windows, 2))
+        # z @ chol.T, written out so that no row depends on the row count
+        iq += z[:, :1] * chol[:, 0] + z[:, 1:] * chol[:, 1]
+    return iq
 
 
 def demodulate(trace: np.ndarray, config: BeatNoteConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +243,7 @@ def accumulate_histogram(
     reference = np.asarray(reference_rad, dtype=float)
     if phases.size == 0:
         raise ValueError("cannot histogram an empty phase record")
-    if bins < 4:
-        raise ValueError(f"need at least 4 bins, got {bins}")
+    bins = _count("bins", bins, 4, MAX_BINS)
     diff_deg = np.degrees(phases - reference)
     wrapped = (diff_deg + 180.0) % 360.0 - 180.0
     edges = np.linspace(-180.0, 180.0, bins + 1)

@@ -1,16 +1,21 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from antires.heterodyne import (
+    MAX_BINS,
+    MAX_SAMPLES_PER_WINDOW,
+    MAX_WINDOWS,
     BeatNoteConfig,
     ConfigError,
     LeakageWarning,
     accumulate_histogram,
     demodulate,
+    iq_law_windows,
     iq_windows,
     synthesize,
     write_trace_csv,
@@ -59,6 +64,10 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="seed"):
             BeatNoteConfig(seed=value)
     BeatNoteConfig(snr_per_window=None, seed=np.uint32(7))
+    BeatNoteConfig(window_us=MAX_SAMPLES_PER_WINDOW / 50.0)
+    for window_us in (MAX_SAMPLES_PER_WINDOW / 50.0 + 0.02, 1e300):
+        with pytest.raises(ConfigError, match="window_us"):
+            BeatNoteConfig(window_us=window_us)
 
 
 def test_noise_sigma_from_snr():
@@ -161,6 +170,112 @@ def test_demodulation_matches_per_window_reference():
     np.testing.assert_allclose(ph, phase_ref, rtol=1e-12, atol=0.0)
 
 
+# ------------------------------------------------------------ exact IQ law
+
+# 10 periods; 10.5 periods, which leak with a diagonal covariance; and 7.3
+# and 5.2 periods, which leak with I and Q correlated by 2% and 12%
+_PERIODS = [
+    pytest.param({}, id="10-periods"),
+    pytest.param({"window_us": 10.5}, id="10.5-periods"),
+    pytest.param({"window_us": 7.3}, id="7.3-periods"),
+    pytest.param({"window_us": 5.2, "sample_rate_msps": 2.5}, id="5.2-periods-13-samples"),
+]
+
+
+def _law_covariance(cfg):
+    t = np.arange(cfg.samples_per_window) / cfg.sample_rate_msps
+    phase = 2.0 * math.pi * cfg.if_freq_mhz * t
+    basis = np.stack([np.cos(phase), np.sin(phase)])
+    return cfg.noise_sigma**2 * basis @ basis.T
+
+
+@pytest.mark.filterwarnings("ignore::antires.heterodyne.LeakageWarning")
+@pytest.mark.parametrize("timing", _PERIODS)
+def test_noiseless_law_equals_demodulated_synthesis(timing):
+    cfg = BeatNoteConfig(**timing)
+    rng = np.random.default_rng(0)
+    for field in (1.0 + 0j, 0.7 * np.exp(-2.1j), 1.9 * np.exp(0.4j), 1e-3j):
+        want = iq_windows(synthesize(field, cfg, windows=60), cfg)
+        got = iq_law_windows(field, cfg, 60, rng)
+        assert got.shape == (60, 2)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore::antires.heterodyne.LeakageWarning")
+@pytest.mark.parametrize("timing", _PERIODS)
+def test_law_noise_matches_synthesized_noise(timing):
+    # Residuals about the noiseless sums, W = 2000 windows a path.  Each
+    # path's mean is within 4 standard errors sigma_i / sqrt(W) of zero, and
+    # each covariance entry within 4 standard errors sqrt((C_ii C_jj +
+    # C_ij^2) / W) of the exact C; path against path the errors are sqrt(2)
+    # larger.
+    windows = 2000
+    cfg = BeatNoteConfig(snr_per_window=5.0, seed=17, **timing)
+    field = 0.8 * np.exp(0.6j)
+    exact = iq_windows(synthesize(field, replace(cfg, snr_per_window=None), windows), cfg)
+    trace = iq_windows(synthesize(field, cfg, windows), cfg) - exact
+    law = iq_law_windows(field, cfg, windows, np.random.default_rng(17)) - exact
+    cov = _law_covariance(cfg)
+    mean_se = np.sqrt(np.diag(cov) / windows)
+    cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / windows)
+    for r in (trace, law):
+        assert np.all(np.abs(r.mean(axis=0)) <= 4.0 * mean_se)
+        assert np.all(np.abs(np.cov(r.T) - cov) <= 4.0 * cov_se)
+    assert np.all(np.abs(law.mean(axis=0) - trace.mean(axis=0)) <= 4.0 * np.sqrt(2.0) * mean_se)
+    assert np.all(np.abs(np.cov(law.T) - np.cov(trace.T)) <= 4.0 * np.sqrt(2.0) * cov_se)
+
+
+@pytest.mark.filterwarnings("ignore::antires.heterodyne.LeakageWarning")
+def test_law_noise_keeps_the_correlation_of_a_leaking_window():
+    # The exact correlation is -0.118; over 10^5 windows a sample correlation
+    # has a standard error of (1 - rho^2) / sqrt(W) = 0.003, so a diagonal
+    # covariance would miss it by some 37 standard errors.
+    windows = 100_000
+    cfg = BeatNoteConfig(snr_per_window=5.0, window_us=5.2, sample_rate_msps=2.5)
+    cov = _law_covariance(cfg)
+    rho = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
+    se = (1.0 - rho**2) / math.sqrt(windows)
+    assert abs(rho) > 30.0 * se
+    noise = iq_law_windows(0.0, cfg, windows, np.random.default_rng(4))
+    assert abs(np.corrcoef(noise.T)[0, 1] - rho) <= 4.0 * se
+
+
+@pytest.mark.filterwarnings("ignore::antires.heterodyne.LeakageWarning")
+@pytest.mark.parametrize("timing", _PERIODS)
+def test_law_windows_extend_a_shorter_record(timing):
+    cfg = BeatNoteConfig(snr_per_window=5.0, **timing)
+
+    def draw(windows, seed=(3, 1, 0)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        return iq_law_windows(0.4 - 0.9j, cfg, windows, rng)
+
+    full = draw(4000)
+    for k in (1, 2, 7, 64, 1000, 3999):
+        np.testing.assert_array_equal(draw(k), full[:k])
+    assert not np.array_equal(draw(64, seed=(3, 1, 1)), full[:64])
+
+
+def test_law_windows_warn_about_leakage():
+    rng = np.random.default_rng(0)
+    with pytest.warns(LeakageWarning):
+        iq_law_windows(1.0 + 0j, BeatNoteConfig(window_us=10.5), 3, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LeakageWarning)
+        iq_law_windows(1.0 + 0j, BeatNoteConfig(), 3, rng)
+
+
+def test_window_counts_must_be_integers_within_the_cap():
+    cfg = BeatNoteConfig(snr_per_window=5.0)
+    rng = np.random.default_rng(0)
+    for windows in (True, 2.0, 2.5, "2", 0, -1, MAX_WINDOWS + 1):
+        with pytest.raises(ValueError, match="windows"):
+            iq_law_windows(1.0 + 0j, cfg, windows, rng)
+        with pytest.raises(ValueError, match="windows"):
+            synthesize(1.0 + 0j, cfg, windows)
+    assert iq_law_windows(1.0 + 0j, cfg, np.int64(3), rng).shape == (3, 2)
+    assert synthesize(1.0 + 0j, cfg, np.int64(2)).size == 2 * cfg.samples_per_window
+
+
 # ----------------------------------------------------------------- leakage
 
 
@@ -218,8 +333,11 @@ def test_histogram_wraps_differences():
 def test_histogram_validation():
     with pytest.raises(ValueError):
         accumulate_histogram(np.array([]), 0.0)
-    with pytest.raises(ValueError):
-        accumulate_histogram(np.array([0.1]), 0.0, bins=3)
+    for bins in (3, True, 36.0, 36.5, "36", MAX_BINS + 1):
+        with pytest.raises(ValueError, match="bins"):
+            accumulate_histogram(np.array([0.1]), 0.0, bins=bins)
+    hist = accumulate_histogram(np.array([0.1]), 0.0, bins=np.int64(MAX_BINS))
+    assert hist.counts.size == MAX_BINS
 
 
 def test_histogram_accepts_per_sample_reference():
