@@ -12,12 +12,12 @@ Two quick experiments on the emitter-resonator pair:
 """
 
 import argparse
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from antires.oracle import JCParams, lindblad_steady_state, linear_limit_check
+from antires.spectra import resonances
 
 
 def main() -> None:
@@ -40,14 +40,15 @@ def main() -> None:
     # probe through the antiresonance at weak drive; both detunings move
     # together because emitter and resonator are degenerate here
     eta = 0.01 * args.kappa
-    split = math.sqrt(args.coupling**2 - ((args.gamma - args.kappa) / 2.0) ** 2)
+    mode_centers = sorted(p.center for p in resonances(base.network))
     probes = np.linspace(-1.5, 1.5, args.probe_points)
-    print(f"\ng2(0) across the antiresonance (normal modes at +/-{split:.2f} MHz):")
+    print(f"\ng2(0) across the antiresonance (normal modes at "
+          f"{', '.join(f'{c:.2f}' for c in mode_centers)} MHz):")
     print(f"{'probe':>7} {'<n>':>11} {'g2(0)':>11} {'cutoff':>7}")
     for p in probes:
         res = lindblad_steady_state(replace(base, delta_pe=float(p), delta_pr=float(p), eta=eta))
         print(f"{p:7.2f} {res.mean_photons:11.3e} {res.g2:11.4f} {res.cutoff_used:7d}")
-    for p in (-split, split):
+    for p in mode_centers:
         res = lindblad_steady_state(replace(base, delta_pe=float(p), delta_pr=float(p), eta=eta))
         print(f"{p:7.2f} {res.mean_photons:11.3e} {res.g2:11.4f} {res.cutoff_used:7d}  (normal mode)")
 

@@ -1,31 +1,49 @@
-"""Exact steady state of the driven emitter-resonator pair (small Hilbert space).
+"""Exact steady state of a driven mode network (small Hilbert space).
 
 This module is the quantum oracle the linear coupled-mode solver is checked
-against.  It builds the Liouvillian of one two-level emitter coupled to
-one driven resonator mode truncated at ``cutoff`` photons, solves the
-steady state exactly, and reports field moments.  In the weak-drive limit
-the mean field must approach the coupled-mode prediction; at finite drive
-the photon statistics (g2) distinguish the antiresonance -- where single
-emitter excitations block the resonator -- from the hybridised normal modes.
+against.  It solves the Lindblad steady state of the same
+:class:`~antires.network.ModeNetwork` the linear core solves -- emitters as
+two-level systems, resonators as photon ladders truncated at ``cutoff`` --
+and reports moments of the exact state.  In the weak-drive limit every mean
+field must approach the coupled-mode amplitude; at finite drive the photon
+statistics (g2) distinguish the antiresonance -- where single emitter
+excitations block the resonator -- from the hybridised normal modes.
+
+The network's mode matrix ``A = diag(frequency - 1j*decay) + couplings``
+(:func:`antires.network._mode_matrix`) and drive ``d`` are lifted onto the
+Fock space as
+
+    K = -i (sum_jk A_jk a_j^dag a_k + sum_j (d_j a_j^dag + conj(d_j) a_j))
+
+with collapse operators ``sqrt(2 decay_j) a_j``.  Frequencies are detunings
+from the probe, in the rotating frame; all rates are cyclic frequencies in
+MHz and decays are amplitude half-widths, as in :mod:`antires.network`.
+For the emitter-resonator pair this is the Jaynes-Cummings model that
+:class:`JCParams` describes.
+
+Basis rule: an emitter holds at most one excitation, a resonator at most
+``cutoff`` photons, and the total at most ``cutoff`` plus the number of
+emitters.  States are listed with the first mode slowest (for
+:attr:`JCParams.network`: emitter tensor resonator, photon index fastest).
 
 The Liouvillian is never formed as one matrix.  Every density-matrix entry
-rho[i, j] carries the excitation difference D = m_i - m_j (emitter
-excitation plus photons), and only the drive changes D, by one.  So the
-Liouvillian is block tridiagonal in D, with 2c + 3 blocks of at most
-4c + 2 entries a side at photon cutoff c.  The blocks are written from the
-nonzeros of the operators and eliminated from both ends toward D = 0 as a
-matrix continued fraction (H. Risken, *The Fokker-Planck Equation*, 2nd
-ed., Springer 1989, ch. 9).  Time grows as c^4 and memory as c^3.  On a
-2-core VM a solve takes about 11 ms with a 7 MiB tracemalloc peak at
-c = 20, and 0.1 s with 47 MiB at the largest allowed cutoff, 40.
+rho[i, j] carries the excitation difference D = m_i - m_j (total
+excitations), and only the drive changes D, by one: couplings and
+detunings conserve m, and each decay lowers it on both sides of rho.  So
+the Liouvillian is block tridiagonal in D.  The blocks are written from
+the nonzeros of the operators and eliminated from both ends toward D = 0
+as a matrix continued fraction (H. Risken, *The Fokker-Planck Equation*,
+2nd ed., Springer 1989, ch. 9).  For the pair at photon cutoff c there are
+2c + 3 blocks of at most 4c + 2 entries a side; time grows as c^4 and
+memory as c^3.  On a 2-core VM a pair solve takes about 11 ms with a
+7 MiB tracemalloc peak at c = 20, and 0.1 s with 47 MiB at the largest
+allowed cutoff, 40.
 
-Conventions match :mod:`antires.network`: all rates are cyclic frequencies
-in MHz, decays are amplitude half-widths (resonator field decay kappa,
-emitter dipole decay gamma), so the collapse operators carry ``sqrt(2 rate)``.
-The rotating-frame Hamiltonian for probe detunings ``d_pe`` (emitter) and
-``d_pr`` (resonator) is
-
-    H = -d_pr * n_r - d_pe * n_e + g (a sp + ad sm) + eta (a + ad)
+Size guard: before any state is listed, the block sizes are counted from
+each mode's excitation histogram.  A network whose largest block would be
+over :data:`MAX_BLOCK_SIDE` entries a side (a 64 MiB dense block), or
+whose blocks would hold more than :data:`MAX_BLOCK_ENTRIES` entries in
+all, is refused with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,7 +55,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import _finite_real, closed_form_two_mode
+from .network import Mode, ModeNetwork, _finite_real, _mode_matrix, steady_state_batch
+
+# Largest density-matrix block the solver accepts, in entries a side: one
+# dense complex block of 2048 x 2048 is 64 MiB.  The pair at cutoff 40 needs 162.
+MAX_BLOCK_SIDE = 2048
+# Bound on the entries of all stored blocks (diagonal, up and down): 2^24
+# complex entries are 256 MiB.  The pair at cutoff 40 stores about 2.2 million.
+MAX_BLOCK_ENTRIES = 2**24
 
 
 class DensityMatrixError(RuntimeError):
@@ -84,6 +109,18 @@ class JCParams:
         if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, int) or self.cutoff < 1:
             raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
 
+    @property
+    def network(self) -> ModeNetwork:
+        """The pair as a network: atom, then cavity, at frequencies
+        ``(-delta_pe, -delta_pr)`` from the probe, driven with ``eta`` on the
+        cavity.  The oracle's basis is then emitter tensor resonator."""
+        modes = (
+            Mode(label="atom", kind="emitter", frequency=-self.delta_pe, decay=self.gamma),
+            Mode(label="cavity", kind="resonator", frequency=-self.delta_pr, decay=self.kappa),
+        )
+        couplings = np.array([[0.0, self.g], [self.g, 0.0]])
+        return ModeNetwork(modes=modes, couplings=couplings, drive=np.array([0.0, self.eta]))
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -113,64 +150,142 @@ class OracleResult:
         }
 
 
-def _operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Resonator annihilation and emitter lowering operators on the joint space.
+class _Ladders(NamedTuple):
+    """Fock basis of one ``(kinds, cutoff)`` and its ladder operators as index maps."""
 
-    Basis ordering: emitter (2 levels) tensor resonator (cutoff+1 levels).
+    counts: np.ndarray  # (dim, n_modes): excitations of each mode in each state
+    lower: np.ndarray  # (n_modes, dim): the state a_j takes state i to, -1 if n_j = 0
+    upper: np.ndarray  # (n_modes, dim): the state a_j^dag takes state i to, -1 if none
+
+
+def _block_sides(kinds: tuple[str, ...], cutoff: int) -> np.ndarray:
+    """Side of each excitation-difference block, ``D = -M..M``, with no state listed.
+
+    The number of states with ``m`` excitations in all is the convolution of
+    the modes' excitation histograms (one count per level), cut at the
+    allowed total; block ``D`` pairs states ``D`` excitations apart, so its
+    side is that histogram's autocorrelation at lag ``D``.  Raises
+    ``ValueError`` past :data:`MAX_BLOCK_SIDE` or :data:`MAX_BLOCK_ENTRIES`.
     """
-    nf = cutoff + 1
-    a_f = np.diag(np.sqrt(np.arange(1, nf)), k=1)
-    sm_2 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    a = np.kron(np.eye(2), a_f)
-    sm = np.kron(sm_2, np.eye(nf))
-    return a, sm
+    top = cutoff + kinds.count("emitter")
+    hist = np.ones(1)
+    for kind in kinds:
+        # a ladder longer than MAX_BLOCK_SIDE fails the check below at any length
+        levels = 2 if kind == "emitter" else min(cutoff, MAX_BLOCK_SIDE) + 1
+        hist = np.convolve(hist, np.ones(levels))[: top + 1]
+        # the D = 0 block is the largest; adding a mode only grows it
+        if hist @ hist > MAX_BLOCK_SIDE:
+            raise ValueError(
+                f"{len(kinds)} modes ({kinds.count('emitter')} emitters) at cutoff {cutoff} "
+                f"need density-matrix blocks over {MAX_BLOCK_SIDE} entries a side"
+            )
+    sides = np.convolve(hist, hist[::-1])
+    padded = np.concatenate([[0.0], sides, [0.0]])
+    stored = sides @ (padded[:-2] + sides + padded[2:])  # diag, up and down blocks
+    if stored > MAX_BLOCK_ENTRIES:
+        raise ValueError(
+            f"{len(kinds)} modes ({kinds.count('emitter')} emitters) at cutoff {cutoff} "
+            f"need {stored:.3g} density-matrix block entries, over {MAX_BLOCK_ENTRIES}"
+        )
+    return sides
+
+
+@functools.lru_cache(maxsize=64)
+def _ladders(kinds: tuple[str, ...], cutoff: int) -> _Ladders:
+    """The states of the basis rule, first mode slowest, and the ladders on them."""
+    _block_sides(kinds, cutoff)  # the size guard, before any state is listed
+    top = cutoff + kinds.count("emitter")
+    levels = [2 if kind == "emitter" else cutoff + 1 for kind in kinds]
+    counts = np.zeros((1, 0), dtype=np.intp)
+    for n in levels:
+        counts = np.column_stack([np.repeat(counts, n, axis=0), np.tile(np.arange(n), len(counts))])
+        counts = counts[counts.sum(axis=1) <= top]
+    # mixed-radix codes rise in listing order, so a state's index is a binary search
+    strides = np.cumprod([1, *levels[:0:-1]])[::-1]
+    codes = counts @ strides
+    lower = np.searchsorted(codes, codes - strides[:, None])
+    lower[counts.T == 0] = -1
+    upper = np.full_like(lower, -1)
+    modes, states = np.nonzero(lower >= 0)
+    upper[modes, lower[modes, states]] = states
+    for arr in (counts, lower, upper):  # the cache hands these to every caller
+        arr.setflags(write=False)
+    return _Ladders(counts, lower, upper)
 
 
 class _BlockLayout(NamedTuple):
-    """Cutoff-only index structure of the block-tridiagonal Liouvillian."""
+    """``(kinds, cutoff)``-only index structure of the block-tridiagonal Liouvillian."""
 
-    k_rows: np.ndarray  # structural nonzeros of K
-    k_cols: np.ndarray
-    collapse_nonzeros: tuple[tuple[np.ndarray, np.ndarray], ...]  # of a and sm
+    n_k: int  # number of structural nonzeros of K
+    k_slot: np.ndarray  # the nonzero each ladder matrix element of K adds to,
+    k_term: np.ndarray  # the coefficient it carries among (A.ravel(), d, conj(d)),
+    k_weight: np.ndarray  # and its value
+    collapse_amps: tuple[np.ndarray, ...]  # each a_j's nonzeros, sqrt(n_j), in layout order
     src: np.ndarray  # which gathered value feeds each Liouvillian nonzero
     target: np.ndarray  # where its real and imaginary parts land in the flat storage
     n_stored: int
     views: tuple  # (start, stop, shape) of the diag, up and down block of each D
+    mid: int  # index of the block D = 0
+    dim: int  # number of Fock states
     trace_row: int  # position of rho[0, 0] in block D = 0
     trace_cols: np.ndarray  # positions of rho[i, i] in block D = 0
     order: np.ndarray  # row-major flat index of rho for each block entry, by D
 
 
 @functools.lru_cache(maxsize=64)
-def _block_layout(cutoff: int) -> _BlockLayout:
+def _block_layout(kinds: tuple[str, ...], cutoff: int) -> _BlockLayout:
     """Where each Liouvillian nonzero lands among the excitation-difference blocks.
 
     Entry ``rho[i, j]`` (row-major flat index ``i * dim + j``) lies in block
-    ``b = D + cutoff + 1``, ``D = m_i - m_j``, at position ``pos`` within it.
-    Block ``b`` couples to itself (diag), to ``b + 1`` (up) and to ``b - 1``
-    (down); the two blocks at the ends get an empty up or down block.
+    ``b = D + M``, ``D = m_i - m_j`` with ``M`` the largest total, at
+    position ``pos`` within it.  Block ``b`` couples to itself (diag), to
+    ``b + 1`` (up) and to ``b - 1`` (down); the two blocks at the ends get
+    an empty up or down block.
     """
-    nf = cutoff + 1
-    dim = 2 * nf
-    nb = 2 * nf + 1
-    a, sm = _operators(cutoff)
-    m = np.concatenate([np.arange(nf), np.arange(1, nf + 1)])  # e + n
-    block = (m[:, None] - m[None, :]).ravel() + nf
+    counts, lower, upper = _ladders(kinds, cutoff)
+    dim, n_modes = counts.shape
+    span = np.arange(dim)
+
+    # K's ladder matrix elements as (row, col, coefficient index, value):
+    # a_j^dag a_k takes state i to upper[j, lower[k, i]] for every pair (j, k)
+    j, k = np.divmod(np.arange(n_modes * n_modes), n_modes)
+    via = lower[k]
+    to = np.where(via >= 0, upper[j[:, None], via], -1)
+    term, state = np.nonzero(to >= 0)
+    to = to[term, state]
+    e_rows, e_cols, e_terms = [to], [state], [term]
+    e_weights = [np.sqrt(counts[state, k[term]] * counts[to, j[term]])]
+    # the drive: d_j a_j^dag and conj(d_j) a_j, each sqrt(n_j) of the higher state
+    for offset, ladder in ((n_modes * n_modes, upper), (n_modes * (n_modes + 1), lower)):
+        modes, cols = np.nonzero(ladder >= 0)
+        rows = ladder[modes, cols]
+        e_rows.append(rows)
+        e_cols.append(cols)
+        e_terms.append(offset + modes)
+        e_weights.append(np.sqrt(np.maximum(counts[rows, modes], counts[cols, modes])))
+    flat = np.concatenate(e_rows) * dim + np.concatenate(e_cols)
+    k_flat, k_slot = np.unique(np.concatenate([span * (dim + 1), flat]), return_inverse=True)
+    k_rows, k_cols = np.divmod(k_flat, dim)
+    collapse_nonzeros, collapse_amps = [], []
+    for mode, ladder in enumerate(lower):
+        cols = np.flatnonzero(ladder >= 0)
+        collapse_nonzeros.append((ladder[cols], cols))
+        collapse_amps.append(np.sqrt(counts[cols, mode]))
+
+    m = counts.sum(axis=1)  # total excitations
+    mid = int(m.max())
+    nb = 2 * mid + 1
+    block = (m[:, None] - m[None, :]).ravel() + mid
     order = np.argsort(block, kind="stable")
     sizes = np.bincount(block, minlength=nb)
     pos = np.empty(dim * dim, dtype=np.intp)
     pos[order] = np.arange(dim * dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    # K rho + rho K^dag + sum_c c rho c^dag as (row, col, value source) triples;
-    # K may be nonzero on its diagonal, at the drive's a and a^dag, and at the
-    # g-term's a^dag sm and a sp
-    k_rows, k_cols = np.nonzero(np.eye(dim) + a + a.T + a.T @ sm + a @ sm.T)
+    # K rho + rho K^dag + sum_j c_j rho c_j^dag as (row, col, value source) triples
     nk = k_rows.size
-    span = np.arange(dim)
     rows = [k_rows[:, None] * dim + span, span * dim + k_rows[:, None]]
     cols = [k_cols[:, None] * dim + span, span * dim + k_cols[:, None]]
     src = [np.repeat(np.arange(2 * nk), dim)]
-    collapse_nonzeros = tuple(np.nonzero(c) for c in (a, sm))
     n_values = 2 * nk
     for c_rows, c_cols in collapse_nonzeros:
         rows.append(c_rows[:, None] * dim + c_rows)
@@ -191,22 +306,28 @@ def _block_layout(cutoff: int) -> _BlockLayout:
     b_row, b_col = block[row], block[col]
     kind = (b_col - b_row) % 3  # 0 diag, 1 up, 2 down
     target = starts[kind * nb + b_row] + pos[row] * sizes[b_col] + pos[col]
-    target = (2 * target[:, None] + [0, 1]).ravel()  # real and imaginary part
+    # real and imaginary part; the size guard keeps every index below 2^31
+    target = (2 * target[:, None] + [0, 1]).ravel().astype(np.int32)
     blocks = tuple(zip(starts.tolist(), stops.tolist(), shapes))
     layout = _BlockLayout(
-        k_rows=k_rows,
-        k_cols=k_cols,
-        collapse_nonzeros=collapse_nonzeros,
-        src=np.concatenate(src),
+        n_k=nk,
+        k_slot=k_slot[dim:],
+        k_term=np.concatenate(e_terms),
+        k_weight=np.concatenate(e_weights),
+        collapse_amps=tuple(collapse_amps),
+        src=np.concatenate(src).astype(np.int32),
         target=target,
         n_stored=int(stops[-1]),
         views=(blocks[:nb], blocks[nb : 2 * nb], blocks[2 * nb :]),
+        mid=mid,
+        dim=dim,
         trace_row=int(pos[0]),
         trace_cols=pos[span * (dim + 1)],
         order=order,
     )
     # the cache hands these arrays to every caller
-    for arr in (k_rows, k_cols, *collapse_nonzeros[0], *collapse_nonzeros[1],
+    for arr in (layout.k_slot, layout.k_term, layout.k_weight,
+                *collapse_amps,
                 layout.src, target, layout.trace_cols, order):
         arr.setflags(write=False)
     return layout
@@ -234,44 +355,43 @@ def _unfold(folded: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def steady_density_matrix(params: JCParams, cutoff: int) -> np.ndarray:
-    """Exact steady-state density matrix at a fixed photon cutoff.
+def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
+    """Exact steady-state density matrix of ``network`` at a fixed photon cutoff.
 
-    The steady state solves ``K rho + rho K^dag + sum_c c rho c^dag = 0``
-    with ``K = -i H - 1/2 sum_c c^dag c`` and unit trace.  Give each entry
-    ``rho[i, j]`` the excitation difference ``D = m_i - m_j``, where ``m``
-    counts the emitter excitation plus the photons.  The detunings, the
-    g-term and both collapse terms keep ``D``; only the drive moves it, by
-    one.  So the Liouvillian is block tridiagonal in ``D`` from ``-(c+1)`` to
-    ``c+1``.  Its blocks are filled from the nonzeros of K and of the
-    collapse operators, then eliminated from both ends toward ``D = 0``:
-    Risken's matrix continued fraction (*The Fokker-Planck Equation*, 2nd
-    ed., ch. 9).  The trace row replaces the equation for ``rho[0, 0]`` in
-    the ``D = 0`` Schur complement; that block is solved, and the others
-    follow by back-substitution.  No dense Liouvillian is formed: memory is
-    O(c) blocks of about 4c x 4c entries.  The returned matrix is checked
-    for hermiticity, unit trace, and positivity (to solver precision);
-    violations raise :class:`DensityMatrixError`.
+    The steady state solves ``K rho + rho K^dag + sum_j c_j rho c_j^dag = 0``
+    with ``K`` the lifted mode matrix and drive (module docstring),
+    ``c_j = sqrt(2 decay_j) a_j`` and unit trace, on the basis of the module
+    docstring's rule.  Give each entry ``rho[i, j]`` the excitation
+    difference ``D = m_i - m_j``, where ``m`` counts the excitations of all
+    modes.  The detunings, the couplings and the collapse terms keep ``D``;
+    only the drive moves it, by one.  So the Liouvillian is block
+    tridiagonal in ``D`` from ``-M`` to ``M``, the largest total.  Its
+    blocks are filled from the nonzeros of K and of the collapse operators,
+    then eliminated from both ends toward ``D = 0``: Risken's matrix
+    continued fraction (*The Fokker-Planck Equation*, 2nd ed., ch. 9).  The
+    trace row replaces the equation for ``rho[0, 0]`` in the ``D = 0`` Schur
+    complement; that block is solved, and the others follow by
+    back-substitution.  No dense Liouvillian is formed.  The returned
+    matrix is checked for hermiticity, unit trace, and positivity (to
+    solver precision); violations raise :class:`DensityMatrixError`.  A
+    network over the module's size guard raises ``ValueError`` before any
+    state is listed.
     """
-    layout = _block_layout(cutoff)
-    a, sm = _operators(cutoff)
-    ad, sp = a.conj().T, sm.conj().T
-    h = (
-        -params.delta_pr * (ad @ a)
-        - params.delta_pe * (sp @ sm)
-        + params.g * (ad @ sm + a @ sp)
-        + params.eta * (a + ad)
-    )
-    collapse = [math.sqrt(2.0 * params.kappa) * a, math.sqrt(2.0 * params.gamma) * sm]
-    k_eff = -1j * h
-    for c in collapse:
-        k_eff -= 0.5 * (c.conj().T @ c)
-
-    k_vals = k_eff[layout.k_rows, layout.k_cols]
+    if not isinstance(network, ModeNetwork):
+        raise TypeError(f"network must be a ModeNetwork (JCParams.network for the pair), "
+                        f"got {type(network).__name__}")
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    layout = _block_layout(tuple(m.kind for m in network.modes), cutoff)
+    coeffs = np.concatenate([_mode_matrix(network).ravel(), network.drive, network.drive.conj()])
+    terms = coeffs[layout.k_term] * layout.k_weight
+    lifted = np.bincount(layout.k_slot, terms.real, layout.n_k) + 1j * np.bincount(
+        layout.k_slot, terms.imag, layout.n_k)
+    k_vals = -1j * lifted
     values = [k_vals, k_vals.conj()]
-    for c, nonzero in zip(collapse, layout.collapse_nonzeros):
-        vals = c[nonzero]
-        values.append(np.outer(vals, vals.conj()).ravel())
+    for decay, amps in zip(network.decays, layout.collapse_amps):
+        vals = math.sqrt(2.0 * decay) * amps
+        values.append(np.outer(vals, vals).ravel())
     values = np.concatenate(values)[layout.src]
     # one real bincount over the interleaved (re, im) pairs, viewed back as complex
     stored = np.bincount(layout.target, values.view(float), 2 * layout.n_stored).view(complex)
@@ -280,7 +400,7 @@ def steady_density_matrix(params: JCParams, cutoff: int) -> np.ndarray:
         for views in layout.views
     )
 
-    mid = cutoff + 1  # the block D = 0
+    mid = layout.mid
     above = _fold(diag, up, down, range(2 * mid, mid, -1))
     below = _fold(diag, down, up, range(mid))
     schur = diag[mid] + up[mid] @ above[-1] + down[mid] @ below[-1]
@@ -289,7 +409,7 @@ def steady_density_matrix(params: JCParams, cutoff: int) -> np.ndarray:
     rhs = np.zeros(schur.shape[0], dtype=complex)
     rhs[layout.trace_row] = 1.0
     x0 = np.linalg.solve(schur, rhs)
-    dim = 2 * mid
+    dim = layout.dim
     rho = np.empty(dim * dim, dtype=complex)
     rho[layout.order] = np.concatenate(_unfold(below, x0)[::-1] + [x0] + _unfold(above, x0))
     rho = rho.reshape(dim, dim)
@@ -305,15 +425,17 @@ def steady_density_matrix(params: JCParams, cutoff: int) -> np.ndarray:
     return rho
 
 
-def _moments(params: JCParams, cutoff: int) -> tuple[complex, complex, float, float]:
-    rho = steady_density_matrix(params, cutoff)
-    a, sm = _operators(cutoff)
-    ad = a.conj().T
-    mean_field = complex(np.trace(rho @ a))
-    mean_dipole = complex(np.trace(rho @ sm))
-    n = float(np.real(np.trace(rho @ (ad @ a))))
-    n2 = float(np.real(np.trace(rho @ (ad @ ad @ a @ a))))
-    return mean_field, mean_dipole, n, n2
+def _moments(network: ModeNetwork, cutoff: int, mode: int) -> tuple[np.ndarray, float, float]:
+    """``<a_j>`` of every mode, and ``<n>`` and ``<n (n - 1)>`` of mode ``mode``."""
+    rho = steady_density_matrix(network, cutoff)
+    counts, lower, _ = _ladders(tuple(m.kind for m in network.modes), cutoff)
+    fields = np.empty(len(network), dtype=complex)
+    for j, lowered in enumerate(lower):  # tr(rho a_j)
+        ok = np.flatnonzero(lowered >= 0)
+        fields[j] = np.sqrt(counts[ok, j]) @ rho[ok, lowered[ok]]
+    pops = rho.diagonal().real
+    n = counts[:, mode]
+    return fields, float(pops @ n), float(pops @ (n * (n - 1)))
 
 
 def lindblad_steady_state(
@@ -330,13 +452,15 @@ def lindblad_steady_state(
     """
     if params.cutoff >= max_cutoff:
         raise ValueError(f"starting cutoff {params.cutoff} must be below max_cutoff {max_cutoff}")
+    network = params.network
+    cavity = network.index("cavity")
     cutoff = params.cutoff
-    field, dipole, n, n2 = _moments(params, cutoff)
+    fields, n, n2 = _moments(network, cutoff, cavity)
     delta = math.inf
     while cutoff < max_cutoff:
-        field_hi, dipole_hi, n_hi, n2_hi = _moments(params, cutoff + 1)
+        fields_hi, n_hi, n2_hi = _moments(network, cutoff + 1, cavity)
         delta = abs(n_hi - n) / max(abs(n_hi), np.finfo(float).tiny)
-        field, dipole, n, n2 = field_hi, dipole_hi, n_hi, n2_hi
+        fields, n, n2 = fields_hi, n_hi, n2_hi
         cutoff += 1
         if delta < rel_tol:
             break
@@ -349,8 +473,8 @@ def lindblad_steady_state(
             f"steady state holds {n:.3g} photons (eta = 0?), too few for g2; g2 is undefined"
         )
     return OracleResult(
-        mean_field=field,
-        mean_dipole=dipole,
+        mean_field=complex(fields[cavity]),
+        mean_dipole=complex(fields[network.index("atom")]),
         mean_photons=n,
         g2=n2 / (n * n),
         cutoff_used=cutoff,
@@ -391,8 +515,10 @@ def linear_limit_check(
 ) -> LinearLimitReport:
     """Deviation of the exact mean field from the linear coupled-mode amplitude.
 
-    The linear prediction is evaluated with drive ``eta`` on the resonator:
-    ``eta (d_pe + i gamma) / ((d_pe + i gamma)(d_pr + i kappa) - g^2)``.
+    The linear prediction is the cavity amplitude that
+    :func:`~antires.network.steady_state_batch` gives for the same network,
+    driven with ``eta``, at probe 0 (its frequencies are already detunings
+    from the probe).
     """
     if not eta_over_kappa:
         raise ValueError("eta_over_kappa must list at least one drive ratio")
@@ -400,12 +526,10 @@ def linear_limit_check(
     for ratio in eta_over_kappa:
         if ratio <= 0.0:
             raise ValueError("eta/kappa ratios must be positive")
-        eta = ratio * params.kappa
-        run = replace(params, eta=eta)
+        run = replace(params, eta=ratio * params.kappa)
         exact = lindblad_steady_state(run).mean_field
-        linear = closed_form_two_mode(
-            params.delta_pe, params.delta_pr, params.gamma, params.kappa, params.g, eta
-        )
+        network = run.network
+        linear = steady_state_batch(network, [0.0])[0, network.index("cavity")]
         devs.append(abs(exact - linear) / abs(linear))
     # judged from the strongest drive down, whatever the input order, with
     # slack for solver roundoff so equal-to-machine deviations still count

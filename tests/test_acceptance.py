@@ -178,7 +178,7 @@ def test_06_quantum_oracle_converges_to_linear_model():
     valid = True
     for ratio in ratios:
         for cutoff in (4, 6):
-            rho = steady_density_matrix(replace(base, eta=ratio * base.kappa), cutoff)
+            rho = steady_density_matrix(replace(base, eta=ratio * base.kappa).network, cutoff)
             herm = np.max(np.abs(rho - rho.conj().T))
             trace = abs(np.trace(rho) - 1.0)
             lowest = np.linalg.eigvalsh(rho)[0]

@@ -1,12 +1,14 @@
+import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from antires import oracle as oracle_module
-from antires.network import closed_form_two_mode
+from antires.network import Mode, ModeNetwork, closed_form_two_mode, steady_state_batch
 from antires.oracle import (
     CutoffConvergenceError,
     GSquaredUndefinedError,
@@ -15,6 +17,7 @@ from antires.oracle import (
     linear_limit_check,
     steady_density_matrix,
 )
+from helpers import random_network
 
 REF = dict(gamma=3.0, kappa=1.5, g=16.0)
 
@@ -66,7 +69,7 @@ def test_density_matrix_validity_invariants():
     for eta in (0.015, 0.45, 1.5):
         for d in (0.0, 3.0, -16.0):
             rho = steady_density_matrix(
-                JCParams(delta_pe=d, delta_pr=d, eta=eta, **REF), cutoff=6
+                JCParams(delta_pe=d, delta_pr=d, eta=eta, **REF).network, cutoff=6
             )
             assert np.allclose(rho, rho.conj().T, atol=1e-10)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
@@ -123,7 +126,7 @@ def test_block_solve_matches_kron_reference():
             kw = dict(gamma=rng.uniform(0.5, 4.0), kappa=rng.uniform(0.5, 4.0)) | kw
             params = JCParams(**kw)
             np.testing.assert_allclose(
-                steady_density_matrix(params, cutoff),
+                steady_density_matrix(params.network, cutoff),
                 kron_reference_density_matrix(params, cutoff),
                 rtol=0.0, atol=1e-12,
             )
@@ -134,10 +137,10 @@ def test_block_solve_never_forms_the_dense_liouvillian():
     # the blocks and their continued fraction stay far below that
     params = JCParams(delta_pe=3.0, delta_pr=0.0, eta=1.5, **REF)
     cutoff = 20
-    steady_density_matrix(params, cutoff)  # warm-up
+    steady_density_matrix(params.network, cutoff)  # warm-up
     tracemalloc.start()
     try:
-        steady_density_matrix(params, cutoff)
+        steady_density_matrix(params.network, cutoff)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -246,9 +249,9 @@ def test_cutoff_error_shrinks_monotonically():
     # strong drive keeps the truncation error above float noise through the
     # whole cutoff range, where shrinkage must be strictly monotone
     params = JCParams(delta_pe=0.0, delta_pr=0.0, eta=4.5, **REF)
-    ref = photon_number_from_diag(steady_density_matrix(params, 22), 22)
+    ref = photon_number_from_diag(steady_density_matrix(params.network, 22), 22)
     errs = [
-        abs(photon_number_from_diag(steady_density_matrix(params, c), c) - ref)
+        abs(photon_number_from_diag(steady_density_matrix(params.network, c), c) - ref)
         for c in range(2, 11)
     ]
     for a, b in zip(errs, errs[1:]):
@@ -307,3 +310,154 @@ def test_g2_regression_values():
 
     rep = dip.to_report()
     assert set(rep) >= {"mean_field_re", "mean_field_im", "mean_photons", "g2", "cutoff_used"}
+
+
+# ------------------------------------------------------------ any network
+
+
+def fock_states(network, cutoff):
+    """The basis rule spelled out: emitters 0 or 1, resonators 0..cutoff, at
+    most cutoff + (number of emitters) in all, first mode slowest."""
+    kinds = [m.kind for m in network.modes]
+    top = cutoff + kinds.count("emitter")
+    levels = [range(2) if kind == "emitter" else range(cutoff + 1) for kind in kinds]
+    return [s for s in itertools.product(*levels) if sum(s) <= top]
+
+
+def lowering_operators(network, cutoff):
+    """Dense a_j on the truncated basis, built by looking up each lowered state."""
+    states = fock_states(network, cutoff)
+    index = {s: i for i, s in enumerate(states)}
+    ops = np.zeros((len(network), len(states), len(states)))
+    for i, s in enumerate(states):
+        for j, n in enumerate(s):
+            if n:
+                ops[j, index[s[:j] + (n - 1,) + s[j + 1:]], i] = math.sqrt(n)
+    return ops
+
+
+def dense_reference_density_matrix(network, cutoff):
+    """Column-stacking Liouvillian of K = -i(sum A_jk a_j^dag a_k + d a^dag +
+    conj(d) a) and collapse sqrt(2 decay_j) a_j, with the trace row first."""
+    ops = lowering_operators(network, cutoff)
+    a = np.diag(network.frequencies - 1j * network.decays) + network.couplings
+    k = -1j * (
+        np.einsum("jk,jrs,kst->rt", a, ops.transpose(0, 2, 1), ops)
+        + np.einsum("j,jsr->rs", network.drive, ops)
+        + np.einsum("j,jrs->rs", network.drive.conj(), ops)
+    )
+    dim = k.shape[0]
+    eye = np.eye(dim)
+    lv = np.kron(eye, k) + np.kron(k.conj(), eye)
+    for decay, c in zip(network.decays, ops):
+        lv += 2.0 * decay * np.kron(c, c)
+    lv[0, :] = 0.0
+    lv[0, :: dim + 1] = 1.0
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(lv, rhs).reshape(dim, dim, order="F")
+
+
+def mean_fields(rho, network, cutoff):
+    """<a_j> = tr(rho a_j) for every mode."""
+    return np.einsum("ij,kji->k", rho, lowering_operators(network, cutoff))
+
+
+def emitter_pair_network(eta):
+    """One resonator coupled to two emitters, driven with ``eta`` on the resonator."""
+    modes = (
+        Mode("cavity", "resonator", 0.0, 1.5),
+        Mode("atom1", "emitter", -3.0, 3.0),
+        Mode("atom2", "emitter", 4.0, 2.0),
+    )
+    couplings = np.array([[0.0, 16.0, 10.0], [16.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    return ModeNetwork(modes, couplings, np.array([eta, 0.0, 0.0]))
+
+
+# seeds whose 3-mode random_network holds at least one emitter
+EMITTER_SEEDS = (1, 2, 3, 5, 6, 7)
+
+
+def seeded_network(seed, eta):
+    net = random_network(np.random.default_rng(seed), 3)
+    assert net.emitter_mask.any()
+    return replace(net, drive=net.drive * eta)
+
+
+@pytest.mark.parametrize("seed", EMITTER_SEEDS)
+def test_weak_drive_fields_match_the_linear_core_on_any_network(seed):
+    for net in (seeded_network(seed, 1e-3), emitter_pair_network(1e-3)):
+        fields = mean_fields(steady_density_matrix(net, 2), net, 2)
+        np.testing.assert_allclose(fields, steady_state_batch(net, [0.0])[0], rtol=1e-6)
+
+
+@pytest.mark.parametrize("seed", EMITTER_SEEDS)
+def test_block_solve_matches_dense_reference_on_any_network(seed):
+    # drives of order the decays, far from the linear regime; one complex
+    for net, cutoff in ((seeded_network(seed, 1.0), 3),
+                        (emitter_pair_network(2.0 * np.exp(0.7j)), 3)):
+        rho = steady_density_matrix(net, cutoff)
+        assert rho.shape[0] == len(fock_states(net, cutoff))
+        np.testing.assert_allclose(
+            rho, dense_reference_density_matrix(net, cutoff), rtol=0.0, atol=1e-12
+        )
+
+
+def test_pair_network_is_atom_then_cavity_at_minus_the_detunings():
+    net = JCParams(delta_pe=2.0, delta_pr=-1.0, eta=0.5, **REF).network
+    assert net.labels == ("atom", "cavity")
+    assert [m.kind for m in net.modes] == ["emitter", "resonator"]
+    assert list(net.frequencies) == [-2.0, 1.0]
+    assert list(net.decays) == [REF["gamma"], REF["kappa"]]
+    assert list(net.drive) == [0.0, 0.5]
+    assert net.couplings[0, 1] == net.couplings[1, 0] == REF["g"]
+
+
+@pytest.mark.parametrize(
+    "kinds, cutoff",
+    [(("emitter", "resonator"), 40), (("resonator", "emitter", "emitter"), 3),
+     (("resonator", "resonator", "emitter"), 2), (("emitter",) * 3, 2)],
+)
+def test_block_sides_count_the_listed_states(kinds, cutoff):
+    modes = tuple(Mode(f"m{i}", kind, 0.0, 1.0) for i, kind in enumerate(kinds))
+    net = ModeNetwork(modes, np.zeros((len(kinds), len(kinds))), np.zeros(len(kinds)))
+    totals = np.array([sum(s) for s in fock_states(net, cutoff)])
+    diffs = (totals[:, None] - totals[None, :]).ravel()
+    want = np.bincount(diffs - diffs.min())
+    np.testing.assert_array_equal(oracle_module._block_sides(kinds, cutoff), want)
+    if kinds == ("emitter", "resonator"):
+        assert want.max() == 162
+
+
+def chain_of_resonators(n_modes):
+    modes = tuple(Mode(f"r{i}", "resonator", 2.0 * i, 1.0) for i in range(n_modes))
+    couplings = np.diag(np.full(n_modes - 1, 5.0), 1)
+    return ModeNetwork(modes, couplings + couplings.T, np.eye(n_modes)[0])
+
+
+@pytest.mark.parametrize(
+    "n_modes, cutoff, message",
+    [
+        (5, 40, "2048 entries a side"),  # C(45, 5) = 1.2 million states
+        (1, 10**9, "2048 entries a side"),  # one photon ladder of 10^9 levels
+        (1, 2000, "block entries"),  # 2001 a side at most, 1.6e10 entries in all
+    ],
+)
+def test_size_guard_refuses_before_listing_states(n_modes, cutoff, message):
+    net = chain_of_resonators(n_modes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            steady_density_matrix(net, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_density_matrix_inputs_are_checked():
+    with pytest.raises(TypeError, match="ModeNetwork"):
+        steady_density_matrix(JCParams(**REF), 4)
+    for cutoff in (0, 2.0, True):
+        with pytest.raises(ValueError, match="cutoff"):
+            steady_density_matrix(JCParams(**REF).network, cutoff)
