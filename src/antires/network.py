@@ -17,8 +17,10 @@ with ``d_pe``/``d_pr`` the probe detunings from the emitter and resonator.
 Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
 couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
 solves it for a *family* of networks sharing one topology -- per-member
-frequency shifts and emitter coupling scales -- in stacked, memory-bounded
-chunks; the single-network solvers are its one-member views.
+frequency shifts and emitter coupling scales -- in stacked chunks over
+members and probes.  A chunk's working set, its ``N x N`` response matrices
+plus LAPACK's ``N``-vector solutions (``16*N*(N+1)`` bytes a system), stays
+under 1 MiB.  The single-network solvers are its one-member views.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .output import write_json
 
 MODE_KINDS = ("emitter", "resonator")
 
-# Bound on the stacked response matrices (members x probes x N x N complex
-# entries) that one family solve holds at a time.
-_CHUNK_BYTES = 8 * 2**20
+# Bound on the working set of one stacked family solve: its response
+# matrices and their solutions, 16*N*(N+1) bytes per (member, probe) system.
+_CHUNK_BYTES = 2**20
 
 
 class InvalidNetworkError(ValueError):
@@ -278,11 +280,17 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     return SteadyState(probe=float(probe), labels=network.labels, amplitudes=amps)
 
 
+def _chunk_systems(n_modes: int) -> int:
+    """Systems of size ``n_modes`` per stacked solve under the module bound
+    (at least one)."""
+    return max(1, _CHUNK_BYTES // (16 * n_modes * (n_modes + 1)))
+
+
 def family_chunk(probes: int, n_modes: int) -> int:
-    """Family members per stacked solve: keeps the response matrices of
-    ``members x probes`` systems of size ``n_modes`` under the module bound
-    (at least one member)."""
-    return max(1, _CHUNK_BYTES // (16 * max(probes, 1) * n_modes * n_modes))
+    """Family members per stacked solve: keeps the response matrices and
+    solutions of ``members x probes`` systems of size ``n_modes`` under the
+    module bound (at least one member, whose probes are then chunked too)."""
+    return max(1, _chunk_systems(n_modes) // max(probes, 1))
 
 
 def steady_state_family(
@@ -296,9 +304,12 @@ def steady_state_family(
     Member ``b`` shifts every mode frequency by ``freq_shifts[b]`` (shape
     ``(B, n_modes)``) and multiplies every coupling touching an emitter mode
     by ``coupling_scale[b]`` (shape ``(B,)``).  Returns a complex array of
-    shape ``(B, len(probes), n_modes)``.  Members are solved in stacked
-    chunks of :func:`family_chunk` members; each member's result is
-    bit-identical to solving its perturbed network on its own.
+    shape ``(B, len(probes), n_modes)``.  Systems are solved in stacked
+    chunks of :func:`family_chunk` members, and when one member's probes
+    alone exceed the module bound, of as many of its probes as fit; each
+    chunk builds its own members' mode matrices.  Besides the result, a
+    call holds about one chunk, at most ``_CHUNK_BYTES``.  Each member's
+    result is bit-identical to solving its perturbed network on its own.
     """
     network.driven_label()
     shifts = np.asarray(freq_shifts, dtype=float)
@@ -312,15 +323,19 @@ def steady_state_family(
         )
     emitter = network.emitter_mask
     rows, cols = np.nonzero((emitter[:, None] | emitter[None, :]) & ~np.eye(n, dtype=bool))
-
-    a = np.repeat(_mode_matrix(network)[None], len(scales), axis=0)
-    a.reshape(len(scales), n * n)[:, :: n + 1] += shifts
-    a[:, rows, cols] *= scales[:, None]
+    base = _mode_matrix(network)
 
     step = family_chunk(probes.size, n)
+    probe_step = max(1, min(probes.size, _chunk_systems(n)))
     out = np.empty((len(scales), probes.size, n), dtype=complex)
     for lo in range(0, len(scales), step):
-        out[lo : lo + step] = _solve_stacked(a[lo : lo + step], probes, network.drive)
+        members = slice(lo, lo + step)
+        a = np.repeat(base[None], len(scales[members]), axis=0)
+        a.reshape(-1, n * n)[:, :: n + 1] += shifts[members]
+        a[:, rows, cols] *= scales[members, None]
+        for p in range(0, probes.size, probe_step):
+            grid = slice(p, p + probe_step)
+            out[members, grid] = _solve_stacked(a, probes[grid], network.drive)
     return out
 
 

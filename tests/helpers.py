@@ -8,6 +8,8 @@ the code under test.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from antires.network import Mode, ModeNetwork
@@ -88,3 +90,16 @@ def dense_mode_matrix(network: ModeNetwork) -> np.ndarray:
         a[i, i] = mode.frequency - 1j * mode.decay
     assert a.shape == (n, n)
     return a
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes that ``tracemalloc`` saw it hold
+    above what was allocated before it started."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()

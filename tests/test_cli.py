@@ -392,6 +392,15 @@ def test_heterodyne_demo_small(tmp_path):
     assert (out / "heterodyne_points.csv").exists()
 
 
+def test_heterodyne_demo_with_no_probe_points(tmp_path):
+    # a family solve over zero probes
+    cfg = write_config(tmp_path, {"probe_points": []})
+    out = tmp_path / "run"
+    code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out))
+    assert code == 0
+    assert json.loads((out / "heterodyne_report.json").read_text())["points"] == []
+
+
 def test_heterodyne_model_phase_matches_closed_form(tmp_path):
     delta_er, g = 2.5, 11.0
     probes = [-9.0, -2.0, 2.5, 7.0, 15.0]

@@ -25,7 +25,7 @@ from antires.network import (
 )
 from antires.presets import emitter_resonator, five_node_demo
 
-from helpers import two_mode_network
+from helpers import traced_peak, two_mode_network
 
 
 # ---------------------------------------------------------------- matrices
@@ -243,11 +243,38 @@ def test_family_chunking_does_not_change_results(monkeypatch):
     probes = np.linspace(-30.0, 30.0, 41)
     shifts, scales = _family_inputs(net, 10)
     whole = steady_state_family(net, shifts, scales, probes)
-    assert family_chunk(probes.size, len(net)) >= 10
+    n = len(net)
+    assert family_chunk(probes.size, n) >= 10
+    # 16*n*(n+1) bytes a system: matrix and solution
     # three members per chunk: 10 members leave a partial last chunk
-    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 3 * 16 * probes.size * len(net) ** 2)
-    assert family_chunk(probes.size, len(net)) == 3
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 3 * 16 * probes.size * n * (n + 1))
+    assert family_chunk(probes.size, n) == 3
     np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), whole)
+    # seven probes per chunk: each member's 41 probes end in a partial chunk of six
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 7 * 16 * n * (n + 1))
+    assert family_chunk(probes.size, n) == 1
+    np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), whole)
+
+
+def test_family_of_no_probes_or_no_members_is_empty():
+    net = five_node_demo()
+    n = len(net)
+    shifts, scales = _family_inputs(net, 4)
+    assert steady_state_family(net, shifts, scales, []).shape == (4, 0, n)
+    empty = steady_state_family(net, np.zeros((0, n)), np.ones(0), np.linspace(-5.0, 5.0, 7))
+    assert empty.shape == (0, 7, n)
+
+
+def test_family_working_set_is_bounded_over_probes():
+    # one member whose systems alone exceed the bound: its probes are chunked too
+    net = five_node_demo()
+    n = len(net)
+    probes = np.linspace(-40.0, 40.0, 100_001)
+    assert 16 * n * (n + 1) * probes.size > network_module._CHUNK_BYTES
+    steady_state_batch(net, probes[:10])  # first-call allocations are not the solve's
+    result, peak = traced_peak(lambda: steady_state_batch(net, probes))
+    # slack: numpy's casting buffers, 0.2 MiB whatever the bound
+    assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19
 
 
 def test_family_rejects_mismatched_member_arrays():

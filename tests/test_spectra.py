@@ -26,7 +26,13 @@ from antires.spectra import (
     write_spectrum_csv,
 )
 
-from helpers import dense_mode_matrix, quadratic_eigs, random_network, two_mode_network
+from helpers import (
+    dense_mode_matrix,
+    quadratic_eigs,
+    random_network,
+    traced_peak,
+    two_mode_network,
+)
 
 GRID = ProbeGrid(-25.0, 25.0, 1001)
 
@@ -521,8 +527,19 @@ def test_ensemble_mean_is_bit_identical_to_averaging_drawn_networks(monkeypatch)
     reference = np.mean([steady_state_batch(ens.draw(net, k), probes) for k in range(11)], axis=0)
     np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
     # four members per chunk: 11 members leave a partial last chunk
-    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 4 * 16 * probes.size * 2**2)
+    # (16*n*(n+1) bytes a system, n = 2)
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 4 * 16 * probes.size * 2 * 3)
     np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
+
+
+def test_ensemble_mean_working_set_is_bounded():
+    net = emitter_resonator()
+    ens = MotionEnsemble(samples=512)
+    probes = np.linspace(-25.0, 25.0, 1001)
+    # first-call allocations (generator set-up) are not the solve's
+    ensemble_mean_amplitudes(net, probes[:3], MotionEnsemble(samples=2))
+    _, peak = traced_peak(lambda: ensemble_mean_amplitudes(net, probes, ens))
+    assert peak <= 2 * network_module._CHUNK_BYTES
 
 
 def test_unreachable_truncation_window_is_rejected():
