@@ -320,10 +320,13 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
     opts = cfg.options
     grid = ProbeGrid(**opts["grid"])
     det = opts["detuning"]
-    if det.get("values"):
+    if det["values"] is None:
+        rows = np.linspace(det["start"], det["stop"], int(det["points"])).tolist()
+    elif det["values"]:
         rows = [float(v) for v in det["values"]]
     else:
-        rows = np.linspace(det["start"], det["stop"], int(det["points"])).tolist()
+        raise ConfigError("config key 'detuning.values' must list at least one detuning "
+                          "(or be null for the start/stop/points range)")
 
     amps = _emitter_scan("scan2d", opts, rows, grid.frequencies())
     phase_deg = np.degrees(np.unwrap(np.angle(amps), axis=1))

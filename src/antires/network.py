@@ -25,6 +25,7 @@ under 1 MiB.  The single-network solvers are its one-member views.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -149,13 +150,16 @@ class ModeNetwork:
             raise InvalidNetworkError("couplings must be finite")
         if np.count_nonzero(c.diagonal()):
             raise InvalidNetworkError("self couplings (nonzero diagonal) are not allowed")
-        if np.count_nonzero(c != c.T):
+        # a matrix bit-equal to its transpose needs no elementwise compare (a
+        # ufunc on a transposed view costs microseconds); 0.0 == -0.0 still holds
+        if c.tobytes() != c.T.tobytes() and np.count_nonzero(c != c.T):
             raise InvalidNetworkError("coupling matrix must be symmetric")
 
         d = np.array(self.drive, dtype=complex)
         if d.shape != (n,):
             raise InvalidNetworkError(f"drive must have shape ({n},), got {d.shape}")
-        if np.count_nonzero(np.isfinite(d)) != n:
+        amps = d.tolist()  # Python complexes: cheaper to test than a numpy ufunc at n ~ 2
+        if not all(map(cmath.isfinite, amps)):
             raise InvalidNetworkError("drive amplitudes must be finite")
 
         # diagonal of the mode matrix, frequency - 1j*decay
@@ -172,7 +176,7 @@ class ModeNetwork:
             _frequencies=diagonal.real,
             _decays=decays,
             _diagonal=diagonal,
-            _driven=driven if d[driven] else None,
+            _driven=driven if amps[driven] else None,
         )
 
     def __len__(self) -> int:

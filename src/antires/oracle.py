@@ -30,14 +30,17 @@ The Liouvillian is never formed as one matrix.  Every density-matrix entry
 rho[i, j] carries the excitation difference D = m_i - m_j (total
 excitations), and only the drive changes D, by one: couplings and
 detunings conserve m, and each decay lowers it on both sides of rho.  So
-the Liouvillian is block tridiagonal in D.  The blocks are written from
-the nonzeros of the operators and eliminated from both ends toward D = 0
-as a matrix continued fraction (H. Risken, *The Fokker-Planck Equation*,
-2nd ed., Springer 1989, ch. 9).  For the pair at photon cutoff c there are
-2c + 3 blocks of at most 4c + 2 entries a side; time grows as c^4 and
-memory as c^3.  On a 2-core VM a pair solve takes about 11 ms with a
-7 MiB tracemalloc peak at c = 20, and 0.1 s with 47 MiB at the largest
-allowed cutoff, 40.
+the Liouvillian is block tridiagonal in D.  The steady state is Hermitian,
+so block -D holds the conjugate transposes of block D's entries, and only
+the rows of the blocks D >= 0 are written, from the nonzeros of the
+operators.  The blocks D = M..1 are eliminated toward D = 0 as a matrix
+continued fraction (H. Risken, *The Fokker-Planck Equation*, 2nd ed.,
+Springer 1989, ch. 9); the D = -1 side of that fraction is the mirror of
+the D = +1 side, with no sweep of its own.  For the pair at photon cutoff
+c there are 2c + 3 blocks of at most 4c + 2 entries a side, of which the
+c + 2 with D >= 0 are stored; time grows as c^4 and memory as c^3.  On a
+2-core VM a pair solve takes about 8 ms with a 3.7 MiB tracemalloc peak
+at c = 20, and 55 ms with 25 MiB at the largest allowed cutoff, 40.
 
 Size guard: before any state is listed, the block sizes are counted from
 each mode's excitation histogram.  A network whose largest block would be
@@ -60,8 +63,9 @@ from .network import Mode, ModeNetwork, _finite_real, _mode_matrix, steady_state
 # Largest density-matrix block the solver accepts, in entries a side: one
 # dense complex block of 2048 x 2048 is 64 MiB.  The pair at cutoff 40 needs 162.
 MAX_BLOCK_SIDE = 2048
-# Bound on the entries of all stored blocks (diagonal, up and down): 2^24
-# complex entries are 256 MiB.  The pair at cutoff 40 stores about 2.2 million.
+# Bound on the entries of the diagonal, up and down blocks of every D: 2^24
+# complex entries are 256 MiB.  The pair at cutoff 40 counts about 2.2
+# million, of which the solver stores the 1.1 million in rows with D >= 0.
 MAX_BLOCK_ENTRIES = 2**24
 
 
@@ -214,33 +218,40 @@ def _ladders(kinds: tuple[str, ...], cutoff: int) -> _Ladders:
 
 
 class _BlockLayout(NamedTuple):
-    """``(kinds, cutoff)``-only index structure of the block-tridiagonal Liouvillian."""
+    """``(kinds, cutoff)``-only index structure of the block-tridiagonal Liouvillian.
+
+    Only the rows of the blocks ``D = 0..M`` are stored; the ``D < 0`` half
+    of rho is the conjugate transpose of the ``D > 0`` half.
+    """
 
     n_k: int  # number of structural nonzeros of K
     k_slot: np.ndarray  # the nonzero each ladder matrix element of K adds to,
     k_term: np.ndarray  # the coefficient it carries among (A.ravel(), d, conj(d)),
     k_weight: np.ndarray  # and its value
     collapse_amps: tuple[np.ndarray, ...]  # each a_j's nonzeros, sqrt(n_j), in layout order
-    src: np.ndarray  # which gathered value feeds each Liouvillian nonzero
+    src: np.ndarray  # which gathered value feeds each stored Liouvillian nonzero
     target: np.ndarray  # where its real and imaginary parts land in the flat storage
     n_stored: int
-    views: tuple  # (start, stop, shape) of the diag, up and down block of each D
-    mid: int  # index of the block D = 0
+    views: tuple  # (start, stop, shape) of the diag, up and down block of each D >= 0
     dim: int  # number of Fock states
     trace_row: int  # position of rho[0, 0] in block D = 0
     trace_cols: np.ndarray  # positions of rho[i, i] in block D = 0
-    order: np.ndarray  # row-major flat index of rho for each block entry, by D
+    mirror0: np.ndarray  # position in block D = 0 of each entry's transpose
+    mirror1: np.ndarray  # position in block D = -1 of each D = +1 entry's transpose
+    order: np.ndarray  # row-major flat index of rho for each D >= 0 entry, by D
+    mirror: np.ndarray  # row-major flat index of the transpose of each D > 0 entry
 
 
 @functools.lru_cache(maxsize=64)
 def _block_layout(kinds: tuple[str, ...], cutoff: int) -> _BlockLayout:
-    """Where each Liouvillian nonzero lands among the excitation-difference blocks.
+    """Where each Liouvillian nonzero of a ``D >= 0`` row lands among the blocks.
 
     Entry ``rho[i, j]`` (row-major flat index ``i * dim + j``) lies in block
-    ``b = D + M``, ``D = m_i - m_j`` with ``M`` the largest total, at
-    position ``pos`` within it.  Block ``b`` couples to itself (diag), to
-    ``b + 1`` (up) and to ``b - 1`` (down); the two blocks at the ends get
-    an empty up or down block.
+    ``D = m_i - m_j``, at position ``pos`` within it.  Block ``D`` couples to
+    itself (diag), to ``D + 1`` (up) and to ``D - 1`` (down); the block
+    ``D = M`` at the end gets an empty up block.  Rows of the blocks
+    ``D < 0`` are never stored: the steady state is Hermitian, so they
+    mirror the ``D > 0`` rows.
     """
     counts, lower, upper = _ladders(kinds, cutoff)
     dim, n_modes = counts.shape
@@ -273,13 +284,14 @@ def _block_layout(kinds: tuple[str, ...], cutoff: int) -> _BlockLayout:
         collapse_amps.append(np.sqrt(counts[cols, mode]))
 
     m = counts.sum(axis=1)  # total excitations
-    mid = int(m.max())
-    nb = 2 * mid + 1
-    block = (m[:, None] - m[None, :]).ravel() + mid
+    top = int(m.max())
+    block = (m[:, None] - m[None, :]).ravel() + top  # D + M, from 0 to 2M
     order = np.argsort(block, kind="stable")
-    sizes = np.bincount(block, minlength=nb)
+    sizes = np.bincount(block, minlength=2 * top + 1)
+    offsets = np.cumsum(sizes) - sizes
     pos = np.empty(dim * dim, dtype=np.intp)
-    pos[order] = np.arange(dim * dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pos[order] = np.arange(dim * dim) - np.repeat(offsets, sizes)
+    transpose = (span[:, None] + span * dim).ravel()  # flat index of rho.T
 
     # K rho + rho K^dag + sum_j c_j rho c_j^dag as (row, col, value source) triples
     nk = k_rows.size
@@ -294,55 +306,64 @@ def _block_layout(kinds: tuple[str, ...], cutoff: int) -> _BlockLayout:
         n_values += c_rows.size**2
     row = np.concatenate([r.ravel() for r in rows])
     col = np.concatenate([c.ravel() for c in cols])
+    src = np.concatenate(src)
+    kept = block[row] >= top  # rows of the blocks D >= 0
+    row, col, src = row[kept], col[kept], src[kept]
 
-    padded = np.concatenate([[0], sizes, [0]])
+    n = np.concatenate([sizes[top - 1 :], [0]])  # n_D for D = -1..M + 1
     shapes = [
-        (int(sizes[b]), int(width))
-        for widths in (sizes, padded[2:], padded[:-2])  # diag, up, down
-        for b, width in enumerate(widths)
+        (int(side), int(width))
+        for widths in (n[1:-1], n[2:], n[:-2])  # diag, up, down
+        for side, width in zip(n[1:-1], widths)
     ]
     stops = np.cumsum([p * q for p, q in shapes])
     starts = stops - [p * q for p, q in shapes]
     b_row, b_col = block[row], block[col]
     kind = (b_col - b_row) % 3  # 0 diag, 1 up, 2 down
-    target = starts[kind * nb + b_row] + pos[row] * sizes[b_col] + pos[col]
+    nb = top + 1  # blocks D = 0..M
+    target = starts[kind * nb + b_row - top] + pos[row] * sizes[b_col] + pos[col]
     # real and imaginary part; the size guard keeps every index below 2^31
     target = (2 * target[:, None] + [0, 1]).ravel().astype(np.int32)
     blocks = tuple(zip(starts.tolist(), stops.tolist(), shapes))
+    order = order[offsets[top]:]  # the D >= 0 entries, by D
+    n0, n1 = n[1:3]
     layout = _BlockLayout(
         n_k=nk,
         k_slot=k_slot[dim:],
         k_term=np.concatenate(e_terms),
         k_weight=np.concatenate(e_weights),
         collapse_amps=tuple(collapse_amps),
-        src=np.concatenate(src).astype(np.int32),
+        src=src.astype(np.int32),
         target=target,
         n_stored=int(stops[-1]),
         views=(blocks[:nb], blocks[nb : 2 * nb], blocks[2 * nb :]),
-        mid=mid,
         dim=dim,
         trace_row=int(pos[0]),
         trace_cols=pos[span * (dim + 1)],
+        mirror0=pos[transpose[order[:n0]]],
+        mirror1=pos[transpose[order[n0 : n0 + n1]]],
         order=order,
+        mirror=transpose[order[n0:]],
     )
     # the cache hands these arrays to every caller
     for arr in (layout.k_slot, layout.k_term, layout.k_weight,
                 *collapse_amps,
-                layout.src, target, layout.trace_cols, order):
+                layout.src, target, layout.trace_cols,
+                layout.mirror0, layout.mirror1, order, layout.mirror):
         arr.setflags(write=False)
     return layout
 
 
-def _fold(diag: list, outer: list, inner: list, seq: range) -> list[np.ndarray]:
-    """Eliminate the blocks ``seq`` (outermost first) into the next one in.
+def _fold(diag: list, up: list, down: list) -> list[np.ndarray]:
+    """Eliminate the blocks ``D = M..1`` (outermost first) toward ``D = 0``.
 
-    Returns the matrices ``r`` with ``x_b = r @ x_inner`` for each block in
-    ``seq``: the matrix continued fraction of that side.
+    Returns the matrices ``r_D`` with ``x_D = r_D @ x_(D-1)``, ``r_M``
+    first: the matrix continued fraction of the ``D > 0`` side.
     """
     folded = []
-    for b in seq:
-        s = diag[b] + outer[b] @ folded[-1] if folded else diag[b]
-        folded.append(-np.linalg.solve(s, inner[b]))
+    for d in range(len(diag) - 1, 0, -1):
+        s = diag[d] + up[d] @ folded[-1] if folded else diag[d]
+        folded.append(-np.linalg.solve(s, down[d]))
     return folded
 
 
@@ -365,14 +386,19 @@ def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
     difference ``D = m_i - m_j``, where ``m`` counts the excitations of all
     modes.  The detunings, the couplings and the collapse terms keep ``D``;
     only the drive moves it, by one.  So the Liouvillian is block
-    tridiagonal in ``D`` from ``-M`` to ``M``, the largest total.  Its
-    blocks are filled from the nonzeros of K and of the collapse operators,
-    then eliminated from both ends toward ``D = 0``: Risken's matrix
-    continued fraction (*The Fokker-Planck Equation*, 2nd ed., ch. 9).  The
-    trace row replaces the equation for ``rho[0, 0]`` in the ``D = 0`` Schur
-    complement; that block is solved, and the others follow by
-    back-substitution.  No dense Liouvillian is formed.  The returned
-    matrix is checked for hermiticity, unit trace, and positivity (to
+    tridiagonal in ``D`` from ``-M`` to ``M``, the largest total.  The rows
+    of its blocks ``D >= 0`` are filled from the nonzeros of K and of the
+    collapse operators, and the blocks ``D = M..1`` are eliminated toward
+    ``D = 0``: Risken's matrix continued fraction (*The Fokker-Planck
+    Equation*, 2nd ed., ch. 9).  The other side needs no sweep.  rho is
+    Hermitian, so the ``D = -1`` fold matrix is the ``D = +1`` one
+    conjugated, with its rows and columns re-indexed by the transpose
+    ``(i, j) -> (j, i)``.  The trace row replaces the equation for
+    ``rho[0, 0]`` in the ``D = 0`` Schur complement; that block is solved
+    and written as solved, the blocks ``D > 0`` follow by back-substitution,
+    and every ``D < 0`` entry is ``rho[j, i] = conj(rho[i, j])``.  No dense
+    Liouvillian is formed.  The returned matrix is checked for hermiticity
+    (which tests the solved ``D = 0`` block), unit trace, and positivity (to
     solver precision); violations raise :class:`DensityMatrixError`.  A
     network over the module's size guard raises ``ValueError`` before any
     state is listed.
@@ -400,10 +426,10 @@ def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
         for views in layout.views
     )
 
-    mid = layout.mid
-    above = _fold(diag, up, down, range(2 * mid, mid, -1))
-    below = _fold(diag, down, up, range(mid))
-    schur = diag[mid] + up[mid] @ above[-1] + down[mid] @ below[-1]
+    above = _fold(diag, up, down)
+    below = np.empty_like(above[-1])  # x_(-1) = below @ x_0, by hermiticity
+    below[layout.mirror1[:, None], layout.mirror0] = above[-1].conj()
+    schur = diag[0] + up[0] @ above[-1] + down[0] @ below
     schur[layout.trace_row] = 0.0
     schur[layout.trace_row, layout.trace_cols] = 1.0
     rhs = np.zeros(schur.shape[0], dtype=complex)
@@ -411,7 +437,9 @@ def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
     x0 = np.linalg.solve(schur, rhs)
     dim = layout.dim
     rho = np.empty(dim * dim, dtype=complex)
-    rho[layout.order] = np.concatenate(_unfold(below, x0)[::-1] + [x0] + _unfold(above, x0))
+    upper = np.concatenate(_unfold(above, x0))
+    rho[layout.order] = np.concatenate([x0, upper])
+    rho[layout.mirror] = upper.conj()
     rho = rho.reshape(dim, dim)
 
     herm = np.max(np.abs(rho - rho.conj().T))

@@ -133,6 +133,24 @@ def run_cli_stderr(*argv):
     return code, err.getvalue()
 
 
+def test_scan2d_refuses_an_empty_detuning_list(tmp_path):
+    cfg = write_config(tmp_path, {"detuning": {"values": []}})
+    out = tmp_path / "x"
+    code, err = run_cli_stderr("scan2d", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "detuning.values" in err
+    assert not (out / "scan2d.csv").exists()
+
+
+def test_scan2d_null_detuning_list_runs_the_range(tmp_path):
+    cfg = write_config(tmp_path, {"grid": {"points": 41},
+                                  "detuning": {"values": None, "points": 3}})
+    out = tmp_path / "run"
+    assert run_cli("scan2d", "--config", cfg, "--out", str(out))[0] == 0
+    report = json.loads((out / "scan2d_report.json").read_text())
+    assert [r["detuning_mhz"] for r in report["rows"]] == [-20.0, 0.0, 20.0]
+
+
 def test_scan2d_rejects_delta_er_override(tmp_path):
     cfg = write_config(tmp_path, {"network_params": {"delta_er": 4.0}})
     code, err = run_cli_stderr("scan2d", "--config", cfg, "--out", str(tmp_path / "x"))

@@ -338,6 +338,23 @@ def test_network_rejects_asymmetric_couplings():
         ModeNetwork(_modes2(), np.array([[0.0, 2.0], [3.0, 0.0]]), np.array([1.0 + 0j, 0j]))
 
 
+def test_network_symmetry_compares_values_not_bits():
+    # 0.0 and -0.0 differ in bits but are equal couplings
+    couplings = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    modes = _modes2() + (Mode("c", "resonator", 2.0, 1.0),)
+    net = ModeNetwork(modes, couplings, np.array([1.0 + 0j, 0j, 0j]))
+    assert net.couplings.tobytes() == couplings.tobytes()
+
+
+def test_network_rejects_non_finite_numbers():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidNetworkError, match="couplings must be finite"):
+            ModeNetwork(_modes2(), np.array([[0.0, bad], [bad, 0.0]]), np.array([1.0, 0.0]))
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, complex(0.0, np.inf)])):
+        with pytest.raises(InvalidNetworkError, match="drive amplitudes must be finite"):
+            ModeNetwork(_modes2(), np.zeros((2, 2)), bad)
+
+
 def test_network_rejects_nonzero_diagonal():
     with pytest.raises(InvalidNetworkError):
         ModeNetwork(_modes2(), np.array([[1.0, 2.0], [2.0, 0.0]]), np.array([1.0 + 0j, 0j]))

@@ -77,6 +77,30 @@ def test_density_matrix_validity_invariants():
             assert eigs.min() > -1e-10
 
 
+def test_hermiticity_check_tests_the_solved_middle_block(monkeypatch):
+    # D < 0 is mirrored from D > 0, but the D = 0 block is written as solved:
+    # an anti-Hermitian error there keeps the trace and the spectrum and must
+    # still be caught
+    network = JCParams(delta_pe=3.0, eta=0.45, **REF).network
+    layout = oracle_module._block_layout(("emitter", "resonator"), 6)
+    p = int(np.flatnonzero(layout.mirror0 != np.arange(layout.mirror0.size))[0])
+    solve = np.linalg.solve
+
+    def skewed_solve(a, b):
+        x = solve(a, b)
+        if b.ndim == 1:  # the D = 0 Schur complement; the folds solve for matrices
+            x[p] += 1e-6
+            x[layout.mirror0[p]] -= 1e-6
+        return x
+
+    monkeypatch.setattr(oracle_module.np.linalg, "solve", skewed_solve)
+    with pytest.raises(oracle_module.DensityMatrixError,
+                       match=r"hermiticity defect 2\.00e-06, trace defect \S+e-1[0-9]"):
+        steady_density_matrix(network, 6)
+    monkeypatch.undo()
+    steady_density_matrix(network, 6)
+
+
 def kron_reference_density_matrix(params, cutoff):
     """Steady state from the textbook column-stacking Liouvillian.
 
@@ -413,11 +437,13 @@ def test_pair_network_is_atom_then_cavity_at_minus_the_detunings():
     assert net.couplings[0, 1] == net.couplings[1, 0] == REF["g"]
 
 
-@pytest.mark.parametrize(
-    "kinds, cutoff",
-    [(("emitter", "resonator"), 40), (("resonator", "emitter", "emitter"), 3),
-     (("resonator", "resonator", "emitter"), 2), (("emitter",) * 3, 2)],
-)
+BLOCK_CASES = [
+    (("emitter", "resonator"), 40), (("resonator", "emitter", "emitter"), 3),
+    (("resonator", "resonator", "emitter"), 2), (("emitter",) * 3, 2),
+]
+
+
+@pytest.mark.parametrize("kinds, cutoff", BLOCK_CASES)
 def test_block_sides_count_the_listed_states(kinds, cutoff):
     modes = tuple(Mode(f"m{i}", kind, 0.0, 1.0) for i, kind in enumerate(kinds))
     net = ModeNetwork(modes, np.zeros((len(kinds), len(kinds))), np.zeros(len(kinds)))
@@ -427,6 +453,22 @@ def test_block_sides_count_the_listed_states(kinds, cutoff):
     np.testing.assert_array_equal(oracle_module._block_sides(kinds, cutoff), want)
     if kinds == ("emitter", "resonator"):
         assert want.max() == 162
+
+
+@pytest.mark.parametrize("kinds, cutoff", BLOCK_CASES)
+def test_block_layout_stores_only_the_rows_of_the_nonnegative_blocks(kinds, cutoff):
+    sides = oracle_module._block_sides(kinds, cutoff)
+    top = sides.size // 2  # sides lists D = -M..M
+    n = np.concatenate([sides, [0]])[top - 1 :]  # n_D for D = -1..M + 1
+    layout = oracle_module._block_layout(kinds, cutoff)
+    assert layout.n_stored == int(n[1:-1] @ (n[:-2] + n[1:-1] + n[2:]))
+    mirror0, mirror1 = layout.mirror0, layout.mirror1
+    assert mirror0.size == sides[top] and mirror1.size == sides[top - 1]
+    np.testing.assert_array_equal(mirror0[mirror0], np.arange(mirror0.size))
+    np.testing.assert_array_equal(np.sort(mirror1), np.arange(mirror1.size))
+    # the mirrored position holds the transpose
+    row, col = np.divmod(layout.order[: mirror0.size], layout.dim)
+    np.testing.assert_array_equal(row[mirror0], col)
 
 
 def chain_of_resonators(n_modes):
