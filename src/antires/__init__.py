@@ -3,8 +3,8 @@
 The package simulates weakly driven networks of dissipative modes, extracts
 the poles (resonances) and zeros (antiresonances) of their transmission,
 fits dispersive phase profiles, and localises loss by comparing
-antiresonance widths across drive ports.  An exact quantum solver for the
-one-emitter/one-resonator case anchors the linear model.
+antiresonance widths across drive ports.  An exact quantum (Lindblad) solver
+for the same networks, emitters as two-level systems, anchors the linear model.
 """
 
 __version__ = "0.1.0"

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+MIN_ARCTAN_POINTS = 6  # fewest scan points fit_arctan_phase fits: its 5 parameters + 1
+
 
 class FitConvergenceError(RuntimeError):
     """Fit failed to converge; carries the partial result and its trace."""
@@ -267,7 +269,7 @@ def fit_arctan_phase(
 ) -> ArctanPhaseFit:
     """Fit a dispersive arctangent step to an unwrapped phase profile.
 
-    ``x`` must be strictly monotone with at least 6 points.  With
+    ``x`` must be strictly monotone with ``MIN_ARCTAN_POINTS`` or more points.  With
     ``background="linear"`` a tilt term absorbs the slow phase slope that
     neighbouring broad features superimpose on the step; on scans whose
     window is only a few tens of widths wide this correction is what keeps
@@ -281,8 +283,8 @@ def fit_arctan_phase(
     phase = np.asarray(phase_deg, dtype=float)
     if x.ndim != 1 or x.shape != phase.shape:
         raise ValueError("x and phase must be 1-D arrays of equal length")
-    if x.size < 6:
-        raise ValueError(f"need at least 6 points to fit, got {x.size}")
+    if x.size < MIN_ARCTAN_POINTS:
+        raise ValueError(f"need at least {MIN_ARCTAN_POINTS} points to fit, got {x.size}")
     dx = np.diff(x)
     if not (np.all(dx > 0.0) or np.all(dx < 0.0)):
         raise ValueError("fit axis must be strictly monotone")

@@ -32,12 +32,12 @@ from typing import Iterable
 import numpy as np
 
 from .fitting import PhaseHistogram
-from .network import _finite_real, _seed_value
+from .network import _count, _finite_real, _seed_value
 from .output import write_csv
 
 
 class ConfigError(ValueError):
-    """Invalid acquisition configuration."""
+    """Invalid configuration: an acquisition setting here, or a CLI config file."""
 
 
 class LeakageWarning(UserWarning):
@@ -49,14 +49,6 @@ class LeakageWarning(UserWarning):
 MAX_SAMPLES_PER_WINDOW = 10**6
 MAX_WINDOWS = 10**6
 MAX_BINS = 3600
-
-
-def _count(name: str, value: object, low: int, high: int) -> int:
-    """``value`` as an int, if it is an integer (not a bool) in [low, high]."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_int and low <= value <= high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,16 @@ def _seed_value(value: object) -> bool:
     )
 
 
+def _count(name: str, value: object, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int if it is an integer in ``[low, high]`` (numpy's too,
+    never a bool; ``high=None``: no bound); else a ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def _json_number(value: object, key: str) -> float:
     """A network file's number as a float; strings, bools and nulls are refused."""
     if not _finite_real(value):
@@ -234,8 +244,7 @@ class ProbeGrid:
                 raise ValueError(f"grid {name} must be a finite number, got {value!r}")
         if self.stop <= self.start:
             raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
-        if isinstance(self.points, bool) or not isinstance(self.points, int) or self.points < 2:
-            raise ValueError(f"grid requires an integer of at least 2 points, got {self.points!r}")
+        object.__setattr__(self, "points", _count("grid.points", self.points, 2))
 
     @property
     def step(self) -> float:
@@ -445,10 +454,7 @@ def network_from_dict(data: dict) -> ModeNetwork:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad mode entry {entry!r}: {exc}") from exc
-    labels = [m.label for m in modes]
-    if len(set(labels)) != len(labels):
-        raise InvalidNetworkError(f"duplicate mode labels: {labels}")
-    lut = {lab: i for i, lab in enumerate(labels)}
+    lut = {m.label: i for i, m in enumerate(modes)}  # duplicates: ModeNetwork refuses them
     couplings, drive = data.get("couplings", []), data.get("drive", [])
     for key, value in (("couplings", couplings), ("drive", drive)):
         if not isinstance(value, list):

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Mode, ModeNetwork, _finite_real, _mode_matrix, steady_state_batch
+from .network import Mode, ModeNetwork, _count, _finite_real, _mode_matrix, steady_state_batch
 
 # Largest density-matrix block the solver accepts, in entries a side: one
 # dense complex block of 2048 x 2048 is 64 MiB.  The pair at cutoff 40 needs 162.
@@ -110,8 +110,7 @@ class JCParams:
                 raise ValueError(f"decay rate {name} must be positive, got {value}")
         if self.eta < 0.0:
             raise ValueError("drive amplitude eta must be non-negative")
-        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, int) or self.cutoff < 1:
-            raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", _count("cutoff", self.cutoff, 1))
 
     @property
     def network(self) -> ModeNetwork:
@@ -406,8 +405,7 @@ def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
     if not isinstance(network, ModeNetwork):
         raise TypeError(f"network must be a ModeNetwork (JCParams.network for the pair), "
                         f"got {type(network).__name__}")
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
-        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    cutoff = _count("cutoff", cutoff, 1)
     layout = _block_layout(tuple(m.kind for m in network.modes), cutoff)
     coeffs = np.concatenate([_mode_matrix(network).ravel(), network.drive, network.drive.conj()])
     terms = coeffs[layout.k_term] * layout.k_weight
@@ -478,8 +476,7 @@ def lindblad_steady_state(
     the converged state holds no photons, or so few that ``<n>^2`` underflows
     (g2 has no meaning, or no float value, there).
     """
-    if params.cutoff >= max_cutoff:
-        raise ValueError(f"starting cutoff {params.cutoff} must be below max_cutoff {max_cutoff}")
+    max_cutoff = _count("max_cutoff", max_cutoff, params.cutoff + 1)  # above the start
     network = params.network
     cavity = network.index("cavity")
     cutoff = params.cutoff

@@ -26,6 +26,7 @@ import numpy as np
 from .network import (
     ModeNetwork,
     ProbeGrid,
+    _count,
     _finite_real,
     _mode_matrix,
     _seed_value,
@@ -37,6 +38,7 @@ from .output import write_csv
 
 _MAG_FLOOR = 1e-300  # keeps log magnitudes finite at an exact zero crossing
 _MIN_ACCEPTANCE = 1e-6  # smallest truncation-window probability a MotionEnsemble accepts
+_PROBE_TOL = 1e-6  # largest gap, in grid steps, between a read probe and its grid point
 
 
 class AmbiguityError(RuntimeError):
@@ -446,8 +448,7 @@ class MotionEnsemble:
                 f"scale_bounds must satisfy 0 < lo < hi <= 1 (a coupling can only be "
                 f"reduced), got {self.scale_bounds}"
             )
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
-            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        object.__setattr__(self, "samples", _count("samples", self.samples, 1))
         if not _seed_value(self.seed):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scale_sigma > 0.0:
@@ -647,19 +648,26 @@ def write_spectrum_csv(spectrum: ComplexSpectrum, path: str | Path) -> None:
 
 
 def read_spectrum_csv(path: str | Path) -> ComplexSpectrum:
+    """Read a spectrum CSV back.  ``probe_mhz`` needs 2 or more rows, each within
+    ``_PROBE_TOL`` steps of the uniform grid from the first probe to the last."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [""])  # an empty file has an unrecognised header
         rows = [[float(v) for v in row] for row in reader if row]
     if header[0] != "probe_mhz" or (len(header) - 1) % 5 != 0:
         raise ValueError(f"unrecognised spectrum CSV header: {header[:6]}...")
+    if len(rows) < 2:
+        raise ValueError(f"probe_mhz must hold at least 2 rows, got {len(rows)}")
     labels = tuple(h[: -len("_re")] for h in header[1::5])
     data = np.asarray(rows)
     probes = data[:, 0]
+    grid = ProbeGrid(start=float(probes[0]), stop=float(probes[-1]), points=len(probes))
+    off = np.abs(probes - grid.frequencies()).max() / grid.step
+    if not off <= _PROBE_TOL:  # NaN probes too
+        raise ValueError(f"probe_mhz is not a uniform grid: a probe lies {off:.3g} steps off it")
     amps = np.empty((len(rows), len(labels)), dtype=complex)
     for i in range(len(labels)):
         amps[:, i] = data[:, 1 + 5 * i] + 1j * data[:, 2 + 5 * i]
-    grid = ProbeGrid(start=float(probes[0]), stop=float(probes[-1]), points=len(probes))
     return ComplexSpectrum(grid=grid, labels=labels, amplitudes=amps)
 
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import antires
+from antires import cli as cli_module
 from antires import oracle as oracle_module
 from antires.cli import DEFAULTS, main
 from antires.network import (
@@ -474,6 +475,10 @@ def test_heterodyne_demo_passes_3_sigma_at_4000_windows(tmp_path, seed):
 # ----------------------------------------------------------- error handling
 
 
+def test_cli_raises_the_package_config_error():
+    assert cli_module.ConfigError is antires.ConfigError
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     cfg = write_config(tmp_path, {"gird": {"points": 11}})
     code, _ = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x"))
@@ -504,6 +509,10 @@ def test_malformed_config_is_rejected(tmp_path):
     ("scan2d", '{"network_params": {"bogus": 1.0}}', "network_params"),
     ("heterodyne-demo", '{"network_params": {"delta_er": "a"}}', "network_params"),
     ("stark-scan", '{"powers": {"points": 0}}', "points"),
+    ("stark-scan", '{"powers": {"points": -3}}', "powers.points"),
+    ("stark-scan", '{"powers": {"points": 5}}', "powers.points"),
+    ("scan2d", '{"detuning": {"points": 0}}', "detuning.points"),
+    ("scan2d", '{"detuning": {"points": -3}}', "detuning.points"),
     ("stark-scan", '{"motion": {"frequency_jitter": Infinity}}', "frequency_jitter"),
     ("heterodyne-demo", '{"beat": {"sample_rate_msps": Infinity}}', "sample_rate_msps"),
     ("heterodyne-demo", '{"beat": {"window_us": 1000000.0}, "windows": 20}', "window_us"),
@@ -549,6 +558,7 @@ def test_bad_config_values_exit_2_naming_the_field(tmp_path, monkeypatch, comman
         code = main([command, "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert field in err.getvalue()
+    assert not list((tmp_path / "x").glob("*.csv"))  # refused before any table is written
 
 
 def _leaves(tree, path=()):

@@ -12,6 +12,7 @@ from antires.network import (
     Mode,
     ModeNetwork,
     ProbeGrid,
+    _count,
     _mode_matrix,
     closed_form_two_mode,
     family_chunk,
@@ -294,9 +295,11 @@ def test_probe_grid_step_and_frequencies():
         ProbeGrid(-5.0, -5.0, 11)
     with pytest.raises(ValueError):
         ProbeGrid(-5.0, 5.0, 1)
-    for points in (2.5, 11.0, True, "11"):
-        with pytest.raises(ValueError):
+    for points in (2.5, 11.0, True, "11", np.int64(1)):
+        with pytest.raises(ValueError, match="grid.points"):
             ProbeGrid(0.0, 1.0, points)
+    grid = ProbeGrid(0.0, 1.0, np.int64(11))  # a numpy count is stored as an int
+    assert type(grid.points) is int and grid.points == 11
     for bad in (True, "a", np.nan, np.inf, 10**400):
         with pytest.raises(ValueError, match="start"):
             ProbeGrid(bad, 2.0, 3)
@@ -368,6 +371,14 @@ def test_network_rejects_shape_mismatch_and_duplicates():
     dup = (Mode("a", "resonator", 0.0, 1.0), Mode("a", "emitter", 1.0, 1.0))
     with pytest.raises(InvalidNetworkError):
         ModeNetwork(dup, np.zeros((2, 2)), np.array([1.0 + 0j, 0j]))
+
+
+def test_network_file_with_duplicate_labels_is_invalid():
+    doc = network_to_dict(two_mode_network())
+    doc["modes"][1]["label"] = doc["modes"][0]["label"]
+    doc["couplings"] = []
+    with pytest.raises(InvalidNetworkError, match="duplicate mode labels"):
+        network_from_dict(doc)
 
 
 def test_silent_drive_has_no_driven_label():
@@ -493,3 +504,35 @@ def test_dict_schema_rejects_non_string_mode_labels():
         bad["modes"][0][key] = value
         with pytest.raises(InvalidNetworkError, match=rf"{key} must be"):
             network_from_dict(bad)
+
+
+# ------------------------------------------------------------------ counts
+
+
+@pytest.mark.parametrize("value, low, high, ok", [
+    (3, 1, None, True),
+    (1, 1, 5, True),
+    (5, 1, 5, True),
+    (10**30, 1, None, True),
+    (np.int64(4), 1, None, True),  # numpy integers are counts, returned as int
+    (np.uint8(2), 2, 2, True),
+    (True, 0, None, False),
+    (False, 0, None, False),
+    (np.bool_(True), 0, None, False),
+    (2.0, 1, None, False),
+    (2.5, 1, None, False),
+    (np.float64(3.0), 1, None, False),
+    ("3", 1, None, False),
+    (None, 1, None, False),
+    (0, 1, None, False),
+    (-3, 1, None, False),
+    (6, 1, 5, False),
+    (np.int64(6), 1, 5, False),
+])
+def test_count_accepts_integers_in_range_only(value, low, high, ok):
+    if ok:
+        got = _count("n", value, low, high)
+        assert type(got) is int and got == value
+    else:
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            _count("n", value, low, high)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -289,6 +290,21 @@ def test_cutoff_convergence_failure_raises():
         lindblad_steady_state(strong, rel_tol=1e-9, max_cutoff=5)
     with pytest.raises(ValueError):
         lindblad_steady_state(JCParams(cutoff=40, **REF), max_cutoff=40)
+
+
+@pytest.mark.parametrize("max_cutoff", [True, 7.5, "9", 4])
+def test_max_cutoff_must_be_an_integer_above_the_start(max_cutoff):
+    params = JCParams(delta_pe=0.0, delta_pr=0.0, eta=0.015, cutoff=4, **REF)
+    with pytest.raises(ValueError, match="max_cutoff"):
+        lindblad_steady_state(params, max_cutoff=max_cutoff)
+
+
+def test_numpy_integer_cutoffs_are_stored_and_reported_as_int():
+    params = JCParams(delta_pe=0.0, delta_pr=0.0, eta=0.015, cutoff=np.int64(2), **REF)
+    assert type(params.cutoff) is int
+    result = lindblad_steady_state(params, max_cutoff=np.int64(12))
+    assert type(result.cutoff_used) is int
+    json.dumps(result.to_report())
 
 
 def test_undriven_state_has_no_g2():

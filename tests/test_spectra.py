@@ -487,9 +487,11 @@ def test_scale_bounds_validation():
         MotionEnsemble(scale_sigma=-0.1)
     with pytest.raises(ValueError):
         MotionEnsemble(samples=0)
-    for samples in (2.5, 8.0, True, "8"):
-        with pytest.raises(ValueError):
+    for samples in (2.5, 8.0, True, "8", np.int64(0)):
+        with pytest.raises(ValueError, match="samples"):
             MotionEnsemble(samples=samples)
+    ens = MotionEnsemble(samples=np.int64(3))  # a numpy count is stored as an int
+    assert type(ens.samples) is int and ens.samples == 3
     for field in ("scale_mean", "scale_sigma", "frequency_jitter"):
         for value in (True, "x", math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
@@ -614,6 +616,39 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert back.labels == spec.labels
     np.testing.assert_array_equal(back.probes, spec.probes)
     np.testing.assert_array_equal(back.amplitudes, spec.amplitudes)
+
+
+def _one_channel_csv(path, probes):
+    """A spectrum CSV of one unit-amplitude channel, with the probe column as given."""
+    rows = [f"{p},1,0,1,1,0" for p in probes]
+    path.write_text("\n".join(["probe_mhz,c_re,c_im,c_magnitude,c_excitation,"
+                                "c_phase_unwrapped_rad", *rows, ""]))
+    return path
+
+
+@pytest.mark.parametrize("probes", [
+    pytest.param([-5.0, -4.9, 0.0, 2.5, 5.0], id="off-grid"),
+    pytest.param([-5.0, -2.5, math.nan, 2.5, 5.0], id="nan-probe"),
+    pytest.param([], id="header-only"),
+    pytest.param([1.0], id="one-row"),
+])
+def test_spectrum_csv_reader_refuses_a_probe_column_off_its_grid(tmp_path, probes):
+    with pytest.raises(ValueError, match="probe_mhz"):
+        read_spectrum_csv(_one_channel_csv(tmp_path / "spec.csv", probes))
+
+
+def test_spectrum_csv_reader_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        read_spectrum_csv(path)
+
+
+def test_spectrum_csv_reader_takes_probes_rounded_to_twelve_digits(tmp_path):
+    grid = ProbeGrid(0.0, 1.0, 7)  # steps of 1/6: no short decimal form
+    path = _one_channel_csv(tmp_path / "spec.csv", [f"{p:.12g}" for p in grid.frequencies()])
+    back = read_spectrum_csv(path)
+    np.testing.assert_array_equal(back.probes, grid.frequencies())
 
 
 @pytest.mark.parametrize("prominence", [-5.0, math.nan, math.inf])
