@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from antires.network import _count
 from antires.oracle import JCParams, lindblad_steady_state, linear_limit_check
 from antires.spectra import resonances
 
@@ -27,6 +28,10 @@ def main() -> None:
     ap.add_argument("--coupling", type=float, default=16.0)
     ap.add_argument("--probe-points", type=int, default=9)
     args = ap.parse_args()
+    try:
+        _count("--probe-points", args.probe_points, 1)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     base = JCParams(gamma=args.gamma, kappa=args.kappa, g=args.coupling, cutoff=4)
 

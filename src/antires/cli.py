@@ -261,7 +261,7 @@ def _emitter_scan(
     offsets = np.zeros((len(detunings), len(base)))
     offsets[:, base.emitter_mask] = -np.asarray(detunings, dtype=float)[:, None]
     if ensemble is None:
-        amps = steady_state_family(base, offsets, np.ones(len(offsets)), probes)
+        amps = steady_state_family(base, offsets[:, None], np.ones((len(offsets), 1)), probes)
     else:
         amps = ensemble_mean_family(base, offsets, probes, ensemble)
     return amps[..., base.index(base.driven_label())]
@@ -540,8 +540,9 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         iq = iq_law_windows(field, config, windows, rng)
         return np.arctan2(-iq[:, 1], iq[:, 0])
 
-    # member 0 is the system, member 1 the empty cavity: its emitter coupling scaled to 0
-    fields = steady_state_family(net, np.zeros((2, len(net))), [1.0, 0.0], probe_points)[..., idx]
+    # copy 0 is the system, copy 1 the empty cavity: its emitter coupling scaled to 0
+    fields = steady_state_family(net, np.zeros((2, 1, len(net))), [[1.0], [0.0]], probe_points)
+    fields = fields[..., idx]
     point_rows = []
     hists = []
     all_within = True

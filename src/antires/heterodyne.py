@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .fitting import PhaseHistogram
-from .network import _count, _finite_real, _seed_value
+from .network import _count, _finite_real
 from .output import write_csv
 
 
@@ -107,8 +107,10 @@ class BeatNoteConfig:
             )
         if self.reference_amplitude <= 0.0:
             raise ConfigError("reference_amplitude must be positive")
-        if not _seed_value(self.seed):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        try:
+            _count("seed", self.seed, 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def samples_per_window(self) -> int:

@@ -16,11 +16,11 @@ with ``d_pe``/``d_pr`` the probe detunings from the emitter and resonator.
 
 Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
 couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
-solves it for a *family* of networks sharing one topology -- per-member
-frequency shifts and emitter coupling scales -- in stacked chunks over
-members and probes.  A chunk's working set, its ``N x N`` response matrices
-plus LAPACK's ``N``-vector solutions (``16*N*(N+1)`` bytes a system), stays
-under 1 MiB.  The single-network solvers are its one-member views.
+solves it for a *family* sharing one topology -- copies of ``network``, each
+averaged over members with their own frequency shifts and emitter coupling
+scales -- in one loop of stacked chunks, each chunk's working set (``16*N*(N+1)``
+bytes a system: response matrix and solution) under 1 MiB.  The
+single-network solvers are its one-copy, one-member views.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .output import write_json
 MODE_KINDS = ("emitter", "resonator")
 
 # Bound on the working set of one stacked family solve: its response
-# matrices and their solutions, 16*N*(N+1) bytes per (member, probe) system.
+# matrices and their solutions, 16*N*(N+1) bytes per (member, copy, probe) system.
 _CHUNK_BYTES = 2**20
 
 
@@ -58,13 +58,6 @@ def _finite_real(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond float range
         return False
-
-
-def _seed_value(value: object) -> bool:
-    """Whether ``value`` is a non-negative int, never a bool: a valid RNG seed."""
-    return (
-        isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
-    )
 
 
 def _count(name: str, value: object, low: int, high: int | None = None) -> int:
@@ -293,74 +286,86 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     return SteadyState(probe=float(probe), labels=network.labels, amplitudes=amps)
 
 
-def _chunk_systems(n_modes: int) -> int:
-    """Systems of size ``n_modes`` per stacked solve under the module bound
-    (at least one)."""
-    return max(1, _CHUNK_BYTES // (16 * n_modes * (n_modes + 1)))
-
-
-def family_chunk(probes: int, n_modes: int) -> int:
-    """Family members per stacked solve: keeps the response matrices and
-    solutions of ``members x probes`` systems of size ``n_modes`` under the
-    module bound (at least one member, whose probes are then chunked too)."""
-    return max(1, _chunk_systems(n_modes) // max(probes, 1))
-
-
 def steady_state_family(
     network: ModeNetwork,
     freq_shifts: np.ndarray,
     coupling_scale: np.ndarray,
     probes: np.ndarray,
 ) -> np.ndarray:
-    """Steady-state amplitudes of a family of perturbed copies of ``network``.
+    """Steady-state amplitudes of ``G`` copies of ``network``, each the mean
+    over its ``M >= 1`` members, shape ``(G, len(probes), n_modes)``.
 
-    Member ``b`` shifts every mode frequency by ``freq_shifts[b]`` (shape
-    ``(B, n_modes)``) and multiplies every coupling touching an emitter mode
-    by ``coupling_scale[b]`` (shape ``(B,)``).  Returns a complex array of
-    shape ``(B, len(probes), n_modes)``.  Systems are solved in stacked
-    chunks of :func:`family_chunk` members, and when one member's probes
-    alone exceed the module bound, of as many of its probes as fit; each
-    chunk builds its own members' mode matrices.  Besides the result, a
-    call holds about one chunk, at most ``_CHUNK_BYTES``.  Each member's
-    result is bit-identical to solving its perturbed network on its own.
+    Member ``m`` of copy ``g`` shifts every mode frequency by ``freq_shifts[g, m]``
+    (shape ``(G, M, n_modes)``) and scales every coupling touching an emitter
+    by ``coupling_scale[g, m]`` (shape ``(G, M)``).  All systems are solved
+    member-major in chunks of at most ``_CHUNK_BYTES``, which may end part-way
+    through a member.  Member 0 is assigned and the rest added in order, then
+    divided by ``M``: with ``M = 1`` each result is its system's own solution,
+    bit for bit, and a mean equals averaging the members one by one.
     """
     network.driven_label()
     shifts = np.asarray(freq_shifts, dtype=float)
     scales = np.asarray(coupling_scale, dtype=float)
     probes = np.asarray(probes, dtype=float).ravel()
     n = len(network)
-    if shifts.ndim != 2 or shifts.shape[1] != n or scales.shape != shifts.shape[:1]:
+    if shifts.ndim != 3 or shifts.shape[2] != n or scales.shape != shifts.shape[:2]:
         raise ValueError(
-            f"freq_shifts must be (B, {n}) and coupling_scale (B,), got "
+            f"freq_shifts must be (G, M, {n}) and coupling_scale (G, M), got "
             f"{shifts.shape} and {scales.shape}"
         )
+    copies, members = scales.shape
+    _count("family members", members, 1)
+    # one row per unit, a (member, copy) network, member-major
+    shifts = np.moveaxis(shifts, 1, 0).reshape(-1, n)
+    scales = scales.T.ravel()
     emitter = network.emitter_mask
     rows, cols = np.nonzero((emitter[:, None] | emitter[None, :]) & ~np.eye(n, dtype=bool))
     base = _mode_matrix(network)
 
-    step = family_chunk(probes.size, n)
-    probe_step = max(1, min(probes.size, _chunk_systems(n)))
-    out = np.empty((len(scales), probes.size, n), dtype=complex)
-    for lo in range(0, len(scales), step):
-        members = slice(lo, lo + step)
-        a = np.repeat(base[None], len(scales[members]), axis=0)
-        a.reshape(-1, n * n)[:, :: n + 1] += shifts[members]
-        a[:, rows, cols] *= scales[members, None]
-        for p in range(0, probes.size, probe_step):
-            grid = slice(p, p + probe_step)
-            out[members, grid] = _solve_stacked(a, probes[grid], network.drive)
+    out = np.empty((copies, probes.size, n), dtype=complex)
+    sums = out.reshape(-1, n)  # one row per (copy, probe) system of a member
+    per_member = len(sums)
+    total = members * per_member
+    step = max(1, _CHUNK_BYTES // (16 * n * (n + 1)))  # a system's matrix and solution
+    for lo in range(0, total, step):  # system s: unit s // P, probe s % P
+        hi = min(lo + step, total)
+        unit, probe = np.divmod(np.arange(lo, hi), probes.size)
+        units = slice(unit[0], unit[-1] + 1)
+        x = _solve_stacked(base, rows, cols, shifts[units], scales[units], unit - unit[0],
+                           probes.take(probe), network.drive)
+        for m in range(lo // per_member, (hi - 1) // per_member + 1):
+            start = m * per_member
+            first, last = max(lo, start), min(hi, start + per_member)
+            if m:
+                sums[first - start:last - start] += x[first - lo:last - lo]
+            else:
+                sums[first - start:last - start] = x[first - lo:last - lo]
+        del x  # freed before the next chunk is built
+    if members > 1:
+        out /= members
     return out
 
 
-def _solve_stacked(a: np.ndarray, probes: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Solve ``(probe*I - a[b]) @ x = drive`` for every member and probe.
-
-    A function of its own so the stacked matrices are freed before the
-    caller copies the result out: peak memory is one chunk plus its result.
+def _solve_stacked(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, shifts: np.ndarray,
+                   scales: np.ndarray, unit: np.ndarray, probes: np.ndarray,
+                   drive: np.ndarray) -> np.ndarray:
+    """Solve ``(probes[s]*I - a[unit[s]]) @ x = drive`` for every system ``s``, where
+    ``a[u]`` is ``base`` with its diagonal shifted by ``shifts[u]`` and the couplings at
+    ``(rows, cols)`` scaled by ``scales[u]``.  A function of its own so the stacked
+    matrices are freed before the caller folds the solutions into its result.
     """
-    b, n, _ = a.shape
-    ms = np.repeat(-a[:, None], probes.size, axis=1)
-    ms.reshape(b, probes.size, n * n)[..., :: n + 1] += probes[:, None]
+    n = len(base)
+    a = np.repeat(base[None], len(scales), axis=0)
+    # one strided column at a time: numpy buffers a 2-D strided update
+    for j in range(n):
+        a[:, j, j] += shifts[:, j]
+    for j, i in zip(rows.tolist(), cols.tolist()):
+        a[:, j, i] *= scales
+    np.negative(a, out=a)
+    ms = a.take(unit, axis=0)
+    del a
+    for j in range(n):
+        ms[:, j, j] += probes
     rhs = np.broadcast_to(drive, ms.shape[:-1])[..., None]
     try:
         return np.linalg.solve(ms, rhs)[..., 0]
@@ -372,10 +377,10 @@ def steady_state_batch(network: ModeNetwork, probes: np.ndarray) -> np.ndarray:
     """Steady-state amplitudes for many probe frequencies at once.
 
     Returns a complex array of shape ``(len(probes), n_modes)``: the
-    unperturbed one-member view of :func:`steady_state_family`.
+    unperturbed one-copy, one-member view of :func:`steady_state_family`.
     """
     n = len(network)
-    return steady_state_family(network, np.zeros((1, n)), np.ones(1), probes)[0]
+    return steady_state_family(network, np.zeros((1, 1, n)), np.ones((1, 1)), probes)[0]
 
 
 def closed_form_two_mode(

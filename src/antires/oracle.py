@@ -477,6 +477,8 @@ def lindblad_steady_state(
     (g2 has no meaning, or no float value, there).
     """
     max_cutoff = _count("max_cutoff", max_cutoff, params.cutoff + 1)  # above the start
+    if not (_finite_real(rel_tol) and rel_tol > 0.0):  # <= 0, NaN never converge; inf never escalates
+        raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
     network = params.network
     cavity = network.index("cavity")
     cutoff = params.cutoff
@@ -549,8 +551,8 @@ def linear_limit_check(
         raise ValueError("eta_over_kappa must list at least one drive ratio")
     devs = []
     for ratio in eta_over_kappa:
-        if ratio <= 0.0:
-            raise ValueError("eta/kappa ratios must be positive")
+        if not (_finite_real(ratio) and ratio > 0.0):
+            raise ValueError(f"eta/kappa ratios must be finite and positive, got {ratio!r}")
         run = replace(params, eta=ratio * params.kappa)
         exact = lindblad_steady_state(run).mean_field
         network = run.network

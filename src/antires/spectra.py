@@ -29,8 +29,6 @@ from .network import (
     _count,
     _finite_real,
     _mode_matrix,
-    _seed_value,
-    family_chunk,
     steady_state_batch,
     steady_state_family,
 )
@@ -449,8 +447,7 @@ class MotionEnsemble:
                 f"reduced), got {self.scale_bounds}"
             )
         object.__setattr__(self, "samples", _count("samples", self.samples, 1))
-        if not _seed_value(self.seed):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.scale_sigma > 0.0:
             # the rejection sampler needs ~1/acceptance normal draws per member
             spread = self.scale_sigma * math.sqrt(2.0)
@@ -483,7 +480,7 @@ class MotionEnsemble:
 
     def members(self, network: ModeNetwork) -> tuple[np.ndarray, np.ndarray]:
         """Coupling scales ``(samples,)`` and frequency shifts ``(samples, N)``
-        of every member: the family arrays of :func:`steady_state_family`."""
+        of every member: the member axis of :func:`steady_state_family`."""
         emitter = network.emitter_mask
         emitters = int(emitter.sum())
         scales = np.empty(self.samples)
@@ -520,26 +517,14 @@ def ensemble_mean_family(
 
     Copy ``g`` offsets every mode frequency by ``freq_offsets[g]`` (shape
     ``(G, N)``) before the members' shifts apply, so all copies share the
-    same ensemble draws.  Members are solved in bounded chunks and summed
-    in member order, which keeps the result bit-identical to averaging the
-    members one by one.
+    same ensemble draws.  The ensemble is the member axis of one
+    :func:`steady_state_family` call, which sums members in order: the
+    result is bit-identical to averaging the members one by one.
     """
-    probes = np.asarray(probes, dtype=float).ravel()
     offsets = np.asarray(freq_offsets, dtype=float)
-    copies, n = offsets.shape
     scales, shifts = ensemble.members(network)
-    step = max(1, family_chunk(probes.size, n) // max(copies, 1))
-    total = np.zeros((copies, probes.size, n), dtype=complex)
-    for lo in range(0, ensemble.samples, step):
-        sl = slice(lo, lo + step)
-        members = len(scales[sl])
-        family_shifts = (offsets[:, None, :] + shifts[None, sl]).reshape(-1, n)
-        family_scales = np.tile(scales[sl], copies)
-        amps = steady_state_family(network, family_shifts, family_scales, probes)
-        amps = amps.reshape(copies, members, probes.size, n)
-        for k in range(members):
-            total += amps[:, k]
-    return total / ensemble.samples
+    family_scales = np.broadcast_to(scales, (len(offsets), scales.size))
+    return steady_state_family(network, offsets[:, None] + shifts[None], family_scales, probes)
 
 
 def ensemble_mean_amplitudes(
@@ -584,8 +569,10 @@ def lossy_component_identify(
     to measured spectra -- from numeric dip detection on those spectra.
 
     Raises :class:`AmbiguityError` when the runner-up mean width is within
-    ``rel_tol`` (relative) of the minimum.
+    ``rel_tol`` (relative, ``>= 0``) of the minimum.
     """
+    if not (_finite_real(rel_tol) and rel_tol >= 0.0):  # a negative one ties nothing
+        raise ValueError(f"rel_tol must be a finite number >= 0, got {rel_tol!r}")
     if candidates is None:
         candidates = network.labels
     if len(candidates) < 2:

@@ -525,6 +525,7 @@ def test_malformed_config_is_rejected(tmp_path):
     ("heterodyne-demo", '{"probe_points": [], "windows": 0}', "windows"),
     ("heterodyne-demo", '{"probe_points": [], "bins": 3601}', "bins"),
     ("characterize", '{"rel_tol": NaN}', "rel_tol"),
+    ("characterize", '{"network_params": {"decay_scale": 1.0}, "rel_tol": -0.5}', "rel_tol"),
     ("oracle-check", '{"deviation_limit": NaN}', "deviation_limit"),
     ("spectrum", '{"motion": {"enabled": true, "scale_mean": NaN, "scale_sigma": 0.0}}',
      "scale_mean"),

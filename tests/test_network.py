@@ -15,7 +15,6 @@ from antires.network import (
     _count,
     _mode_matrix,
     closed_form_two_mode,
-    family_chunk,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -219,50 +218,64 @@ def _perturbed_by_hand(net, shifts, scale):
     return ModeNetwork(modes, c, net.drive)
 
 
-def _family_inputs(net, members, seed=11):
+def _family_inputs(net, copies, members, seed=11):
     rng = np.random.default_rng(seed)
-    shifts = rng.normal(0.0, 2.0, size=(members, len(net)))
-    scales = rng.uniform(0.5, 1.0, size=members)
+    shifts = rng.normal(0.0, 2.0, size=(copies, members, len(net)))
+    scales = rng.uniform(0.5, 1.0, size=(copies, members))
     return shifts, scales
+
+
+def _member_mean_by_hand(net, shifts, scales, probes):
+    """Per-copy means of per-member batch solves, members added in order."""
+    return np.array([
+        np.mean([steady_state_batch(_perturbed_by_hand(net, s, c), probes)
+                 for s, c in zip(copy_shifts, copy_scales)], axis=0)
+        for copy_shifts, copy_scales in zip(shifts, scales)
+    ])
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_NETWORKS))
 def test_family_is_bit_identical_to_per_member_networks(name):
     net = FAMILY_NETWORKS[name]()
     probes = np.linspace(-30.0, 30.0, 61)
-    shifts, scales = _family_inputs(net, 9)
+    # nine one-member copies: each result is its network's own solution
+    shifts, scales = _family_inputs(net, 9, 1)
     family = steady_state_family(net, shifts, scales, probes)
     assert family.shape == (9, probes.size, len(net))
     for b in range(9):
-        member = _perturbed_by_hand(net, shifts[b], scales[b])
+        member = _perturbed_by_hand(net, shifts[b, 0], scales[b, 0])
         np.testing.assert_array_equal(family[b], steady_state_batch(member, probes))
         np.testing.assert_array_equal(family[b, 17], steady_state(member, probes[17]).amplitudes)
+    # the same nine as the members of one copy: their mean
+    mean = steady_state_family(net, shifts.swapaxes(0, 1), scales.T, probes)
+    assert mean.shape == (1, probes.size, len(net))
+    np.testing.assert_array_equal(mean, np.mean(family, axis=0, keepdims=True))
 
 
 def test_family_chunking_does_not_change_results(monkeypatch):
     net = _one_emitter_five_node()
-    probes = np.linspace(-30.0, 30.0, 41)
-    shifts, scales = _family_inputs(net, 10)
-    whole = steady_state_family(net, shifts, scales, probes)
     n = len(net)
-    assert family_chunk(probes.size, n) >= 10
-    # 16*n*(n+1) bytes a system: matrix and solution
-    # three members per chunk: 10 members leave a partial last chunk
-    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 3 * 16 * probes.size * n * (n + 1))
-    assert family_chunk(probes.size, n) == 3
-    np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), whole)
-    # seven probes per chunk: each member's 41 probes end in a partial chunk of six
-    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 7 * 16 * n * (n + 1))
-    assert family_chunk(probes.size, n) == 1
-    np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), whole)
+    probes = np.linspace(-30.0, 30.0, 41)
+    shifts, scales = _family_inputs(net, 2, 3)
+    reference = _member_mean_by_hand(net, shifts, scales, probes)
+    np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), reference)
+    # 16*n*(n+1) bytes a system: matrix and solution.  A member holds 2*41 = 82
+    # systems; chunks of 7 end inside most members, chunks of 100 span two
+    for systems in (7, 100):
+        monkeypatch.setattr(network_module, "_CHUNK_BYTES", systems * 16 * n * (n + 1))
+        np.testing.assert_array_equal(
+            steady_state_family(net, shifts, scales, probes), reference
+        )
 
 
-def test_family_of_no_probes_or_no_members_is_empty():
+def test_family_of_no_probes_or_no_copies_is_empty():
     net = five_node_demo()
     n = len(net)
-    shifts, scales = _family_inputs(net, 4)
+    shifts, scales = _family_inputs(net, 4, 3)
     assert steady_state_family(net, shifts, scales, []).shape == (4, 0, n)
-    empty = steady_state_family(net, np.zeros((0, n)), np.ones(0), np.linspace(-5.0, 5.0, 7))
+    empty = steady_state_family(
+        net, np.zeros((0, 3, n)), np.ones((0, 3)), np.linspace(-5.0, 5.0, 7)
+    )
     assert empty.shape == (0, 7, n)
 
 
@@ -281,9 +294,13 @@ def test_family_working_set_is_bounded_over_probes():
 def test_family_rejects_mismatched_member_arrays():
     net = emitter_resonator()
     with pytest.raises(ValueError):
-        steady_state_family(net, np.zeros((3, 3)), np.ones(3), [0.0])
+        steady_state_family(net, np.zeros((1, 3, 3)), np.ones((1, 3)), [0.0])
     with pytest.raises(ValueError):
-        steady_state_family(net, np.zeros((3, 2)), np.ones(2), [0.0])
+        steady_state_family(net, np.zeros((1, 3, 2)), np.ones((1, 2)), [0.0])
+    with pytest.raises(ValueError):
+        steady_state_family(net, np.zeros((3, 2)), np.ones(3), [0.0])
+    with pytest.raises(ValueError, match="members"):  # a copy's mean needs a member
+        steady_state_family(net, np.zeros((2, 0, 2)), np.ones((2, 0)), [0.0])
 
 
 def test_probe_grid_step_and_frequencies():

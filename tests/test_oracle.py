@@ -292,6 +292,24 @@ def test_cutoff_convergence_failure_raises():
         lindblad_steady_state(JCParams(cutoff=40, **REF), max_cutoff=40)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, math.inf, "1e-3"])
+def test_rel_tol_is_refused_before_any_escalation(rel_tol, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before checking rel_tol")
+
+    monkeypatch.setattr(oracle_module, "_moments", no_solve)
+    params = JCParams(delta_pe=0.0, delta_pr=0.0, eta=0.015, cutoff=4, **REF)
+    with pytest.raises(ValueError, match="rel_tol"):
+        lindblad_steady_state(params, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -0.1, 0.0])
+def test_linear_limit_check_refuses_a_bad_drive_ratio(ratio):
+    with pytest.raises(ValueError, match="eta/kappa ratios") as info:
+        linear_limit_check(JCParams(**REF), (0.1, ratio))
+    assert repr(ratio) in str(info.value)
+
+
 @pytest.mark.parametrize("max_cutoff", [True, 7.5, "9", 4])
 def test_max_cutoff_must_be_an_integer_above_the_start(max_cutoff):
     params = JCParams(delta_pe=0.0, delta_pr=0.0, eta=0.015, cutoff=4, **REF)

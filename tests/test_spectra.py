@@ -588,6 +588,10 @@ def test_uniform_decay_is_ambiguous():
     with pytest.raises(AmbiguityError) as err:
         lossy_component_identify(net)
     assert set(err.value.candidates) >= {"n1", "n2"}
+    # a negative tolerance would tie nothing and name a mode; it is refused
+    for rel_tol in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            lossy_component_identify(net, rel_tol=rel_tol)
 
 
 def test_identification_from_measured_spectra():
