@@ -44,6 +44,7 @@ from .network import (
     InvalidNetworkError,
     ModeNetwork,
     ProbeGrid,
+    SingularResponseError,
     _count,
     _finite_real,
     load_network,
@@ -641,7 +642,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_scenario(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg)
-    except (ValueError, GSquaredUndefinedError) as exc:  # ConfigError, InvalidNetworkError too
+    # ConfigError and InvalidNetworkError are ValueErrors; a singular response is a
+    # network too close to lossless for the probe grid
+    except (ValueError, GSquaredUndefinedError, SingularResponseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitConvergenceError, RankDeficiencyError, CutoffConvergenceError,

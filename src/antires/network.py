@@ -18,9 +18,13 @@ Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
 couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
 solves it for a *family* sharing one topology -- copies of ``network``, each
 averaged over members with their own frequency shifts and emitter coupling
-scales -- in one loop of stacked chunks, each chunk's working set (``16*N*(N+1)``
-bytes a system: response matrix and solution) under 1 MiB.  The
-single-network solvers are its one-copy, one-member views.
+scales -- in one loop of chunks, each chunk's working set under 1 MiB.  A
+network of one or two modes is solved by Gaussian elimination with partial
+pivoting written over arrays: each entry of ``[M | drive]`` is one array
+across a chunk's systems, so a chunk costs a few dozen numpy calls.  Larger
+networks stack each chunk's matrices for one LAPACK solve per system.  The
+single-network solvers are its one-copy, one-member views and give the same
+bits.
 """
 
 from __future__ import annotations
@@ -37,9 +41,18 @@ from .output import write_json
 
 MODE_KINDS = ("emitter", "resonator")
 
-# Bound on the working set of one stacked family solve: its response
-# matrices and their solutions, 16*N*(N+1) bytes per (member, copy, probe) system.
+# Bound on the working set of one chunk of a family solve (see _system_bytes).
 _CHUNK_BYTES = 2**20
+
+# Networks of at most this many modes are solved by _eliminate over entry arrays,
+# larger ones by one LAPACK call per system.  Up to two modes LAPACK's per-call
+# overhead is most of a solve, and a batch by elimination is about 3x faster.  A
+# single steady_state must give a batch's bits, so it runs the same elimination
+# on numpy scalars, one ufunc call per product.  Elimination written for n modes
+# was measured too (2-core Xeon): in batches it gained up to five modes and lost
+# from seven, but a single three-mode solve took about twice one LAPACK call
+# (33 vs 17 us), so it is written out for one and two modes only.
+_ELIMINATION_MAX_MODES = 2
 
 
 class InvalidNetworkError(ValueError):
@@ -47,7 +60,9 @@ class InvalidNetworkError(ValueError):
 
 
 class SingularResponseError(RuntimeError):
-    """Raised when the steady-state solve hits an exactly singular matrix."""
+    """Raised when a steady-state solve has no finite solution: the matrix is
+    singular, or so nearly so (a mode with a subnormal decay, probed at its own
+    frequency) that the solution overflows."""
 
 
 def _finite_real(value: object) -> bool:
@@ -274,16 +289,32 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
     The one-member, one-probe case of :func:`steady_state_family`, without
-    its stacking overhead.
+    its stacking overhead: up to ``_ELIMINATION_MAX_MODES`` modes it runs the
+    family's elimination on numpy scalars, so both give the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
-    m = -_mode_matrix(network)
-    m.ravel()[:: len(network) + 1] += probe
-    try:
-        amps = np.linalg.solve(m, network.drive)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - strictly lossy => regular
-        raise SingularResponseError(f"singular response matrix at probe={probe}") from exc
-    return SteadyState(probe=float(probe), labels=network.labels, amplitudes=amps)
+    probe = float(probe)
+    n = len(network)
+    if n <= _ELIMINATION_MAX_MODES:
+        # the diagonal entries are numpy scalars, so each division _eliminate
+        # makes meets one; -complex(g) is the family's (-g, -0.0)
+        d, b = network._diagonal, network.drive.tolist()
+        if n == 1:
+            rows = [[probe - d[0], b[0]]]
+        else:
+            g = -complex(network.couplings[0, 1])
+            rows = [[probe - d[0], g, b[0]], [g, probe - d[1], b[1]]]
+        amps = np.array(_eliminate(rows))
+    else:
+        m = np.negative(network.couplings.astype(complex))  # -complex(c), as above
+        m.ravel()[:: n + 1] = probe - network._diagonal
+        try:
+            amps = np.linalg.solve(m, network.drive)
+        except np.linalg.LinAlgError as exc:
+            raise SingularResponseError(f"singular response matrix at probe={probe}") from exc
+    if not all(map(cmath.isfinite, amps.tolist())):  # an overflowing solve does not raise
+        raise SingularResponseError(f"singular response matrix at probe={probe}")
+    return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)
 
 
 def steady_state_family(
@@ -321,18 +352,22 @@ def steady_state_family(
     emitter = network.emitter_mask
     rows, cols = np.nonzero((emitter[:, None] | emitter[None, :]) & ~np.eye(n, dtype=bool))
     base = _mode_matrix(network)
+    solve = _solve_eliminated if n <= _ELIMINATION_MAX_MODES else _solve_stacked
 
     out = np.empty((copies, probes.size, n), dtype=complex)
     sums = out.reshape(-1, n)  # one row per (copy, probe) system of a member
     per_member = len(sums)
     total = members * per_member
-    step = max(1, _CHUNK_BYTES // (16 * n * (n + 1)))  # a system's matrix and solution
+    step = max(1, _CHUNK_BYTES // _system_bytes(n))
     for lo in range(0, total, step):  # system s: unit s // P, probe s % P
         hi = min(lo + step, total)
         unit, probe = np.divmod(np.arange(lo, hi), probes.size)
         units = slice(unit[0], unit[-1] + 1)
-        x = _solve_stacked(base, rows, cols, shifts[units], scales[units], unit - unit[0],
-                           probes.take(probe), network.drive)
+        x = solve(base, rows, cols, shifts[units], scales[units], unit - unit[0],
+                  probes.take(probe), network.drive)
+        if not np.isfinite(x).all():  # a near-singular solve overflows without raising
+            bad = probes[probe[np.isfinite(x).all(axis=1).argmin()]]
+            raise SingularResponseError(f"singular response matrix at probe={bad}")
         for m in range(lo // per_member, (hi - 1) // per_member + 1):
             start = m * per_member
             first, last = max(lo, start), min(hi, start + per_member)
@@ -346,13 +381,26 @@ def steady_state_family(
     return out
 
 
+def _system_bytes(n: int) -> int:
+    """Bytes of one system of ``n`` modes in a family chunk, which sizes the chunks."""
+    if n <= _ELIMINATION_MAX_MODES:
+        # [M | drive]'s entries four times over: the entries, their pivoted copies,
+        # the products and the solution; a chunk at n = 2 peaks near 260 bytes a
+        # system.  The slack keeps chunks small enough that the heap they free is
+        # reused: at half this count glibc gave it back to the system after every
+        # chunk, and faulting it in again cost more than the solve
+        return 64 * n * (n + 1)
+    return 16 * n * (n + 1)  # the stacked matrix and its solution
+
+
 def _solve_stacked(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, shifts: np.ndarray,
                    scales: np.ndarray, unit: np.ndarray, probes: np.ndarray,
                    drive: np.ndarray) -> np.ndarray:
     """Solve ``(probes[s]*I - a[unit[s]]) @ x = drive`` for every system ``s``, where
     ``a[u]`` is ``base`` with its diagonal shifted by ``shifts[u]`` and the couplings at
-    ``(rows, cols)`` scaled by ``scales[u]``.  A function of its own so the stacked
-    matrices are freed before the caller folds the solutions into its result.
+    ``(rows, cols)`` scaled by ``scales[u]``: one LAPACK solve per system.  A function
+    of its own so the stacked matrices are freed before the caller folds the solutions
+    into its result.
     """
     n = len(base)
     a = np.repeat(base[None], len(scales), axis=0)
@@ -369,8 +417,58 @@ def _solve_stacked(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, shifts:
     rhs = np.broadcast_to(drive, ms.shape[:-1])[..., None]
     try:
         return np.linalg.solve(ms, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - strictly lossy => regular
+    except np.linalg.LinAlgError as exc:
         raise SingularResponseError("singular response matrix in family solve") from exc
+
+
+def _solve_eliminated(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, shifts: np.ndarray,
+                      scales: np.ndarray, unit: np.ndarray, probes: np.ndarray,
+                      drive: np.ndarray) -> np.ndarray:
+    """:func:`_solve_stacked` by :func:`_eliminate`, with each entry of ``[M | drive]``
+    one array over the systems, or a scalar where every system shares it."""
+    n = len(base)
+    diagonal = base.diagonal() + shifts
+    augmented = [[-base[j, k] for k in range(n)] + [drive[j]] for j in range(n)]
+    for j, k in zip(rows.tolist(), cols.tolist()):
+        if j < k:  # M is symmetric: one array serves both entries
+            augmented[j][k] = augmented[k][j] = np.negative(base[j, k] * scales).take(unit)
+    for j in range(n):
+        augmented[j][j] = probes - diagonal[:, j].take(unit)
+    with np.errstate(all="ignore"):  # a solution that overflows is refused by the caller
+        return np.stack(_eliminate(augmented), axis=-1)
+
+
+def _eliminate(rows: list) -> list:
+    """Solve ``M @ x = b`` for one or two modes by Gaussian elimination with partial
+    pivoting, where ``rows[i]`` is row ``i`` of ``[M | b]``: each entry one array
+    over many systems or a scalar.
+
+    The pivot is the larger ``|re| + |im|``, row 0 on a tie.  Every product goes
+    through ``np.multiply``, whose scalar call rounds as its array loop does (a
+    scalar ``*`` does not: that loop fuses multiply and add), so a system solved
+    alone gives the bits it gets in a batch.  numpy's scalar ``/`` and ``-`` round
+    as its loops do; Python's complex division does not, so every division must
+    meet an array or a numpy scalar.
+    """
+    if len(rows) == 1:
+        ((m, b),) = rows
+        return [b / m]
+    upper, lower = rows
+    swap = _weight(lower[0]) > _weight(upper[0])
+    if isinstance(swap, np.ndarray):
+        upper, lower = ([np.where(swap, b, a) for a, b in zip(upper, lower)],
+                        [np.where(swap, a, b) for a, b in zip(upper, lower)])
+    elif swap:
+        upper, lower = lower, upper
+    (p, q, c), (r, s, d) = upper, lower
+    factor = r / p
+    x1 = (d - np.multiply(factor, c)) / (s - np.multiply(factor, q))
+    return [(c - np.multiply(q, x1)) / p, x1]
+
+
+def _weight(z):
+    """``|re| + |im|``: the size by which a pivot is chosen, as LAPACK's ``izamax``."""
+    return abs(z.real) + abs(z.imag)
 
 
 def steady_state_batch(network: ModeNetwork, probes: np.ndarray) -> np.ndarray:

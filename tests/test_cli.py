@@ -134,6 +134,21 @@ def run_cli_stderr(*argv):
     return code, err.getvalue()
 
 
+def test_spectrum_of_a_network_that_overflows_exits_2_naming_the_probe(tmp_path):
+    # a decay of 5e-324 MHz passes validation, but the solve at the mode's own
+    # frequency overflows: refused, not written as NaN
+    net = ModeNetwork((Mode("c", "resonator", 0.0, 5e-324),), np.zeros((1, 1)),
+                      np.array([1.0 + 0j]))
+    save_network(net, tmp_path / "net.json")
+    cfg = write_config(tmp_path, {"network": str(tmp_path / "net.json"),
+                                  "grid": {"start": -1.0, "stop": 1.0, "points": 3}})
+    out = tmp_path / "x"
+    code, err = run_cli_stderr("spectrum", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "probe=0.0" in err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_scan2d_refuses_an_empty_detuning_list(tmp_path):
     cfg = write_config(tmp_path, {"detuning": {"values": []}})
     out = tmp_path / "x"

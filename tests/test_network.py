@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from antires import network as network_module
 from antires.network import (
+    MODE_KINDS,
     InvalidNetworkError,
     Mode,
     ModeNetwork,
     ProbeGrid,
+    SingularResponseError,
     _count,
     _mode_matrix,
     closed_form_two_mode,
@@ -187,6 +189,95 @@ def test_batch_matches_loop_of_single_solves():
         np.testing.assert_array_equal(batch[k], single.amplitudes)
 
 
+@st.composite
+def _network_and_probes(draw):
+    """A random 1-7-mode network and probes that include mode 0's frequency and
+    one far from it.  At two modes the first needs a row swap (``|g|`` beats
+    ``|re| + |im|`` of ``M[0, 0]``, the decay) and the second does not.
+
+    Hypothesis picks the structure (mode count, kinds, which couplings and drive
+    amplitudes are zero); the values come from a seeded generator, so products
+    round (small round numbers multiply exactly and would hide a rounding slip).
+    """
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(MODE_KINDS), min_size=n, max_size=n))
+    freqs = rng.uniform(-30.0, 30.0, n)
+    decays = rng.uniform(0.05, 10.0, n)
+    c = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            if (j, k) == (0, 1):  # strong enough for a row swap at mode 0's frequency
+                c[j, k] = rng.choice((-1.0, 1.0)) * (decays[0] + rng.uniform(0.5, 40.0))
+            elif draw(st.booleans()):
+                c[j, k] = rng.uniform(-40.0, 40.0)
+            c[k, j] = c[j, k]
+    driven = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    driven[draw(st.integers(0, n - 1))] = True
+    drive = np.where(driven, rng.normal(size=n) + 1j * rng.normal(size=n), 0.0)
+    net = ModeNetwork(tuple(Mode(f"m{j}", kind, float(f), float(d)) for j, (kind, f, d)
+                            in enumerate(zip(kinds, freqs, decays))), c, drive)
+    far = freqs[0] + abs(c[0, 1]) + 1.0 if n > 1 else freqs[0] + 1.0
+    return net, np.concatenate([[freqs[0], far], rng.uniform(-60.0, 60.0, 12)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_network_and_probes())
+def test_single_solve_bit_equals_its_batch_row(case):
+    # elimination up to two modes, LAPACK above: either way one system alone and
+    # in a batch chunk (pivoted rows next to unpivoted ones) give the same bits
+    net, probes = case
+    if len(net) == 2:
+        pivot_rows = [abs(net.couplings[0, 1]) > abs(p - net.frequencies[0]) + net.decays[0]
+                      for p in probes[:2]]
+        assert pivot_rows == [True, False]
+    batch = steady_state_batch(net, probes)
+    for k, probe in enumerate(probes):
+        assert steady_state(net, probe).amplitudes.tobytes() == batch[k].tobytes()
+
+
+@pytest.mark.parametrize("drive", ["cavity", "atom"])
+def test_two_mode_solve_is_accurate_through_the_exceptional_point(drive):
+    # equal frequencies and g = |gamma - kappa|/2 merge the two poles (an
+    # exceptional point), where a solve through the eigenbasis loses digits;
+    # elimination must match LAPACK there and beside it
+    gamma, kappa = 3.0, 1.5
+    g_ep = abs(gamma - kappa) / 2
+    probes = np.linspace(-10.0, 10.0, 4001)
+    for g in g_ep * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]):
+        net = two_mode_network(delta_er=0.0, coupling=g, gamma=gamma, kappa=kappa, drive=drive)
+        m = np.zeros((probes.size, 2, 2), dtype=complex)
+        m[:, 0, 0] = probes + 1j * kappa
+        m[:, 1, 1] = probes + 1j * gamma
+        m[:, 0, 1] = m[:, 1, 0] = -g
+        rhs = np.broadcast_to(net.drive, (probes.size, 2))[..., None]
+        reference = np.linalg.solve(m, rhs)[..., 0]
+        got = steady_state_batch(net, probes)
+        error = np.linalg.norm(got - reference, axis=1) / np.linalg.norm(reference, axis=1)
+        assert error.max() <= 1e-13
+        residual = np.linalg.norm(np.einsum("sij,sj->si", m, got) - net.drive, axis=1)
+        scale = np.linalg.norm(m, ord=2, axis=(1, 2)) * np.linalg.norm(got, axis=1)
+        assert (residual / scale).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_an_overflowing_solve_raises_naming_the_probe():
+    # a decay of 5e-324 MHz passes validation, but at the mode's own frequency
+    # the response overflows: elimination (one mode) and LAPACK (three) refuse it;
+    # numpy warns of the scalar solve's overflow before it is refused
+    one = ModeNetwork((Mode("c", "resonator", 0.0, 5e-324),), np.zeros((1, 1)),
+                      np.array([1.0 + 0j]))
+    three = ModeNetwork(
+        tuple(Mode(f"m{j}", "resonator", 10.0 * j, d) for j, d in enumerate((5e-324, 1.0, 1.0))),
+        np.zeros((3, 3)), np.array([1.0, 1.0, 0.0j]))
+    for net in (one, three):
+        assert np.isfinite(steady_state_batch(net, [-1.0, 1.0])).all()
+        with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
+            steady_state(net, 0.0)
+        with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
+            steady_state_batch(net, [-1.0, 0.0, 1.0])
+
+
 # ------------------------------------------------------------ family solve
 
 
@@ -259,10 +350,11 @@ def test_family_chunking_does_not_change_results(monkeypatch):
     shifts, scales = _family_inputs(net, 2, 3)
     reference = _member_mean_by_hand(net, shifts, scales, probes)
     np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), reference)
-    # 16*n*(n+1) bytes a system: matrix and solution.  A member holds 2*41 = 82
-    # systems; chunks of 7 end inside most members, chunks of 100 span two
+    # a member holds 2*41 = 82 systems; chunks of 7 end inside most members,
+    # chunks of 100 span two
     for systems in (7, 100):
-        monkeypatch.setattr(network_module, "_CHUNK_BYTES", systems * 16 * n * (n + 1))
+        monkeypatch.setattr(network_module, "_CHUNK_BYTES",
+                            systems * network_module._system_bytes(n))
         np.testing.assert_array_equal(
             steady_state_family(net, shifts, scales, probes), reference
         )

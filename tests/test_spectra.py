@@ -529,8 +529,8 @@ def test_ensemble_mean_is_bit_identical_to_averaging_drawn_networks(monkeypatch)
     reference = np.mean([steady_state_batch(ens.draw(net, k), probes) for k in range(11)], axis=0)
     np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
     # four members per chunk: 11 members leave a partial last chunk
-    # (16*n*(n+1) bytes a system, n = 2)
-    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 4 * 16 * probes.size * 2 * 3)
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES",
+                        4 * probes.size * network_module._system_bytes(len(net)))
     np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
 
 
