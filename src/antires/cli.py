@@ -47,6 +47,7 @@ from .network import (
     SingularResponseError,
     _count,
     _finite_real,
+    _real,
     load_network,
     network_to_dict,
     steady_state_family,
@@ -209,7 +210,7 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
         options = _merge(options, user)
-    seed = args.seed if args.seed is not None else 2024
+    seed = 2024 if args.seed is None else _count("--seed", args.seed, 0, 2**64 - 1)  # a uint64
     return ScenarioConfig(options=options, out_dir=Path(args.out), seed=seed)
 
 
@@ -465,6 +466,9 @@ def cmd_characterize(cfg: ScenarioConfig) -> int:
 
 def cmd_oracle_check(cfg: ScenarioConfig) -> int:
     opts = cfg.options
+    # a limit <= 0 cannot be met and a contrast <= 0 checks nothing: refused before any solve
+    for key in ("deviation_limit", "g2_contrast_min"):
+        _real(key, opts[key], 0.0, strict=True)
     base = JCParams(gamma=opts["gamma"], kappa=opts["kappa"], g=opts["g"], cutoff=opts["cutoff"])
     limit = linear_limit_check(base, tuple(opts["eta_over_kappa"]))
 
@@ -635,9 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and not (0 <= args.seed < 2**64):
-        print("error: seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return 2
     try:
         cfg = _load_scenario(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .network import _real
+
 MIN_ARCTAN_POINTS = 6  # fewest scan points fit_arctan_phase fits: its 5 parameters + 1
 
 
@@ -460,11 +462,12 @@ def fit_periodic_gaussian(hist: PhaseHistogram, min_total: float = 10.0) -> Peri
     Raises
     ------
     ValueError
-        Fewer than ``min_total`` total counts.
+        Fewer than ``min_total`` total counts, or a ``min_total`` that is not a
+        finite non-negative number.
     NonIdentifiableError
         A flat histogram, which constrains no peak position at all.
     """
-    if hist.total < min_total:
+    if hist.total < _real("min_total", min_total, 0.0):
         raise ValueError(f"histogram holds {hist.total} counts; need >= {min_total}")
     if np.ptp(hist.counts) == 0.0:
         raise NonIdentifiableError("flat histogram: peak position is unconstrained")
@@ -562,7 +565,10 @@ def stark_calibration(
     uncertainties: Sequence[float] | None = None,
 ) -> StarkCalibration:
     """Weighted affine fit of (power_nw, detuning_mhz) calibration points."""
-    pts = tuple((float(p), float(d)) for p, d in points)
+    pts = tuple(
+        (float(_real("calibration power_nw", p)), float(_real("calibration detuning_mhz", d)))
+        for p, d in points
+    )
     if len(pts) < 2:
         raise ValueError(f"need at least 2 calibration points, got {len(pts)}")
     powers = np.array([p for p, _ in pts])

@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .fitting import PhaseHistogram
-from .network import _count, _finite_real
+from .network import _count, _real
 from .output import write_csv
 
 
@@ -71,19 +71,19 @@ class BeatNoteConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("if_freq_mhz", "sample_rate_msps", "window_us", "reference_amplitude"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.if_freq_mhz <= 0.0:
-            raise ConfigError(f"beat frequency must be positive, got {self.if_freq_mhz}")
+        try:
+            for name in ("if_freq_mhz", "sample_rate_msps", "window_us", "reference_amplitude"):
+                _real(name, getattr(self, name), 0.0, strict=True)
+            if self.snr_per_window is not None:  # None: noiseless
+                _real("snr_per_window", self.snr_per_window, 0.0, strict=True)
+            _count("seed", self.seed, 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.sample_rate_msps <= 2.0 * self.if_freq_mhz:
             raise ConfigError(
                 f"sample rate {self.sample_rate_msps} MS/s does not satisfy Nyquist for a "
                 f"{self.if_freq_mhz} MHz beat"
             )
-        if self.window_us <= 0.0:
-            raise ConfigError("window length must be positive")
         if self.if_freq_mhz * self.window_us < 5.0:
             raise ConfigError(
                 f"window must span at least 5 beat periods, got "
@@ -99,18 +99,6 @@ class BeatNoteConfig:
             raise ConfigError(
                 f"window must hold an integer number (>= 2) of samples, got {n}"
             )
-        snr = self.snr_per_window
-        if snr is not None and not (_finite_real(snr) and snr > 0.0):
-            raise ConfigError(
-                f"snr_per_window must be a finite positive number (or None for noiseless), "
-                f"got {snr!r}"
-            )
-        if self.reference_amplitude <= 0.0:
-            raise ConfigError("reference_amplitude must be positive")
-        try:
-            _count("seed", self.seed, 0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     @property
     def samples_per_window(self) -> int:

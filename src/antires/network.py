@@ -85,11 +85,14 @@ def _count(name: str, value: object, low: int, high: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _json_number(value: object, key: str) -> float:
-    """A network file's number as a float; strings, bools and nulls are refused."""
-    if not _finite_real(value):
-        raise InvalidNetworkError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+def _real(name: str, value: object, low: float | None = None, *, strict: bool = False):
+    """``value`` unchanged if it is a finite int or float (numpy's too, never a bool)
+    ``>= low`` (``> low`` when ``strict``; ``low`` is None, no bound, or 0); else a
+    ValueError naming ``name``.  The message is built only on failure."""
+    if _finite_real(value) and (low is None or (value > low if strict else value >= low)):
+        return value
+    sign = "" if low is None else "positive " if strict else "non-negative "
+    raise ValueError(f"{name} must be a finite {sign}number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,14 +126,11 @@ class Mode:
             raise InvalidNetworkError(
                 f"mode {self.label!r}: kind must be one of {MODE_KINDS}, got {self.kind!r}"
             )
-        if not _finite_real(self.frequency):
-            raise InvalidNetworkError(
-                f"mode {self.label!r}: frequency must be a finite number, got {self.frequency!r}"
-            )
-        if not (_finite_real(self.decay) and self.decay > 0.0):
-            raise InvalidNetworkError(
-                f"mode {self.label!r}: decay must be a positive number, got {self.decay!r}"
-            )
+        try:
+            _real("frequency", self.frequency)
+            _real("decay", self.decay, 0.0, strict=True)
+        except ValueError as exc:
+            raise InvalidNetworkError(f"mode {self.label!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -246,13 +246,13 @@ class ProbeGrid:
     points: int
 
     def __post_init__(self) -> None:
-        for name in ("start", "stop"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ValueError(f"grid {name} must be a finite number, got {value!r}")
+        _real("grid start", self.start)
+        _real("grid stop", self.stop)
         if self.stop <= self.start:
             raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
         object.__setattr__(self, "points", _count("grid.points", self.points, 2))
+        # a span that overflows, or a step that underflows to 0, has no uniform grid
+        _real("grid step", self.step, 0.0, strict=True)
 
     @property
     def step(self) -> float:
@@ -551,8 +551,8 @@ def network_from_dict(data: dict) -> ModeNetwork:
                 Mode(
                     label=entry["label"],
                     kind=entry["kind"],
-                    frequency=_json_number(entry["frequency_mhz"], "frequency_mhz"),
-                    decay=_json_number(entry["decay_mhz"], "decay_mhz"),
+                    frequency=float(_real("frequency_mhz", entry["frequency_mhz"])),
+                    decay=float(_real("decay_mhz", entry["decay_mhz"])),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -567,7 +567,7 @@ def network_from_dict(data: dict) -> ModeNetwork:
     c = np.zeros((n, n))
     for entry in couplings:
         try:
-            a, b, g = entry["a"], entry["b"], _json_number(entry["g_mhz"], "g_mhz")
+            a, b, g = entry["a"], entry["b"], _real("g_mhz", entry["g_mhz"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad coupling entry {entry!r}: {exc}") from exc
         if not all(isinstance(end, str) and end in lut for end in (a, b)):
@@ -583,9 +583,7 @@ def network_from_dict(data: dict) -> ModeNetwork:
     for entry in drive:
         try:
             lab = entry["label"]
-            amp = complex(
-                _json_number(entry.get("re", 0.0), "re"), _json_number(entry.get("im", 0.0), "im")
-            )
+            amp = complex(_real("re", entry.get("re", 0.0)), _real("im", entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad drive entry {entry!r}: {exc}") from exc
         if not (isinstance(lab, str) and lab in lut):

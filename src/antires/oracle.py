@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Mode, ModeNetwork, _count, _finite_real, _mode_matrix, steady_state_batch
+from .network import Mode, ModeNetwork, _count, _mode_matrix, _real, steady_state_batch
 
 # Largest density-matrix block the solver accepts, in entries a side: one
 # dense complex block of 2048 x 2048 is 64 MiB.  The pair at cutoff 40 needs 162.
@@ -100,16 +100,11 @@ class JCParams:
     cutoff: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "kappa", "g", "delta_pe", "delta_pr", "eta"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("gamma", "kappa"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"decay rate {name} must be positive, got {value}")
-        if self.eta < 0.0:
-            raise ValueError("drive amplitude eta must be non-negative")
+        for name in ("gamma", "kappa"):  # decay rates
+            _real(name, getattr(self, name), 0.0, strict=True)
+        for name in ("g", "delta_pe", "delta_pr"):
+            _real(name, getattr(self, name))
+        _real("eta", self.eta, 0.0)  # drive amplitude
         object.__setattr__(self, "cutoff", _count("cutoff", self.cutoff, 1))
 
     @property
@@ -477,8 +472,7 @@ def lindblad_steady_state(
     (g2 has no meaning, or no float value, there).
     """
     max_cutoff = _count("max_cutoff", max_cutoff, params.cutoff + 1)  # above the start
-    if not (_finite_real(rel_tol) and rel_tol > 0.0):  # <= 0, NaN never converge; inf never escalates
-        raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
+    _real("rel_tol", rel_tol, 0.0, strict=True)  # <= 0 never converges; inf never escalates
     network = params.network
     cavity = network.index("cavity")
     cutoff = params.cutoff
@@ -549,10 +543,10 @@ def linear_limit_check(
     """
     if not eta_over_kappa:
         raise ValueError("eta_over_kappa must list at least one drive ratio")
+    for ratio in eta_over_kappa:  # all checked before any solve
+        _real("eta/kappa ratios", ratio, 0.0, strict=True)
     devs = []
     for ratio in eta_over_kappa:
-        if not (_finite_real(ratio) and ratio > 0.0):
-            raise ValueError(f"eta/kappa ratios must be finite and positive, got {ratio!r}")
         run = replace(params, eta=ratio * params.kappa)
         exact = lindblad_steady_state(run).mean_field
         network = run.network

@@ -27,8 +27,8 @@ from .network import (
     ModeNetwork,
     ProbeGrid,
     _count,
-    _finite_real,
     _mode_matrix,
+    _real,
     steady_state_batch,
     steady_state_family,
 )
@@ -178,6 +178,7 @@ def cancel_pole_zero_pairs(
     pole and a zero at its own complex frequency.  Reports of *observable*
     structure should use the reduced sets.
     """
+    _real("tol", tol, 0.0)  # NaN cancels nothing
     zs = list(zeros)
     out_poles: list[ResonancePole] = []
     for p in poles:
@@ -361,8 +362,7 @@ def detect_antiresonances_numeric(
     ~10 points per half-width; coarser grids degrade the initial estimates
     the refinement starts from.
     """
-    if not (math.isfinite(prominence_db) and prominence_db >= 0.0):
-        raise ValueError(f"prominence_db must be finite and >= 0, got {prominence_db}")
+    _real("prominence_db", prominence_db, 0.0)
 
     probes = spectrum.probes
     col = spectrum.column(drive_label)
@@ -430,17 +430,12 @@ class MotionEnsemble:
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        if not _finite_real(self.scale_mean):
-            raise ValueError(f"scale_mean must be a finite number, got {self.scale_mean!r}")
-        for name in ("scale_sigma", "frequency_jitter"):
-            value = getattr(self, name)
-            if not (_finite_real(value) and value >= 0.0):
-                raise ValueError(f"{name} must be a finite, non-negative number, got {value!r}")
-        if len(self.scale_bounds) != 2 or not all(map(_finite_real, self.scale_bounds)):
-            raise ValueError(
-                f"scale_bounds must hold two finite numbers, got {self.scale_bounds!r}"
-            )
-        lo, hi = self.scale_bounds
+        _real("scale_mean", self.scale_mean)
+        _real("scale_sigma", self.scale_sigma, 0.0)
+        _real("frequency_jitter", self.frequency_jitter, 0.0)
+        if len(self.scale_bounds) != 2:
+            raise ValueError(f"scale_bounds must hold two numbers, got {self.scale_bounds!r}")
+        lo, hi = (_real("scale_bounds", bound) for bound in self.scale_bounds)
         if not (0.0 < lo < hi <= 1.0):
             raise ValueError(
                 f"scale_bounds must satisfy 0 < lo < hi <= 1 (a coupling can only be "
@@ -571,8 +566,7 @@ def lossy_component_identify(
     Raises :class:`AmbiguityError` when the runner-up mean width is within
     ``rel_tol`` (relative, ``>= 0``) of the minimum.
     """
-    if not (_finite_real(rel_tol) and rel_tol >= 0.0):  # a negative one ties nothing
-        raise ValueError(f"rel_tol must be a finite number >= 0, got {rel_tol!r}")
+    _real("rel_tol", rel_tol, 0.0)  # a negative one ties nothing
     if candidates is None:
         candidates = network.labels
     if len(candidates) < 2:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -146,6 +147,22 @@ def test_spectrum_of_a_network_that_overflows_exits_2_naming_the_probe(tmp_path)
     code, err = run_cli_stderr("spectrum", "--config", cfg, "--out", str(out))
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error:") and "probe=0.0" in err
+    assert not (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"start": -1e308, "stop": 1e308, "points": 5},  # the span overflows
+    {"start": 0.0, "stop": 5e-324, "points": 3},  # the step underflows to 0
+])
+def test_spectrum_of_a_grid_with_no_finite_positive_step_exits_2(tmp_path, grid):
+    cfg = write_config(tmp_path, {"grid": grid})
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns about the probes
+        code, err = run_cli_stderr("spectrum", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("error: grid step must be a finite positive number, got ")
     assert not (out / "spectrum.csv").exists()
 
 
@@ -377,6 +394,27 @@ def test_oracle_check_can_fail(tmp_path):
     code, text = run_cli("oracle-check", "--config", cfg, "--out", str(tmp_path / "x"))
     assert code == 1
     assert text.strip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("deviation_limit", 0.0),  # no deviation is below 0: always FAIL
+    ("deviation_limit", -1e-3),
+    ("g2_contrast_min", 0.0),  # every contrast passes: the check is off
+    ("g2_contrast_min", -1.0),
+])
+def test_oracle_check_thresholds_that_cannot_be_met_exit_2_before_any_solve(
+        tmp_path, monkeypatch, key, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the thresholds")
+
+    monkeypatch.setattr(cli_module, "linear_limit_check", no_solve)
+    monkeypatch.setattr(cli_module, "lindblad_steady_state", no_solve)
+    cfg = write_config(tmp_path, {key: value, "g": 0.5})
+    out = tmp_path / "x"
+    code, err = run_cli_stderr("oracle-check", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err == f"error: {key} must be a finite positive number, got {value!r}\n"
+    assert not (out / "oracle_report.json").exists()
 
 
 def test_oracle_check_strong_drive_climbs_to_cutoff_38(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -414,6 +415,18 @@ def test_probe_grid_step_and_frequencies():
             ProbeGrid(bad, 2.0, 3)
         with pytest.raises(ValueError, match="stop"):
             ProbeGrid(-2.0, bad, 3)
+
+
+@pytest.mark.parametrize("start, stop, points", [
+    (-1e308, 1e308, 5),  # the span overflows: an infinite step, NaN probes
+    (0.0, 5e-324, 3),  # the step underflows to 0: repeated probes
+])
+def test_probe_grid_refuses_a_step_that_is_not_finite_and_positive(start, stop, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^grid step must be a finite positive number"):
+            ProbeGrid(start, stop, points)
+    ProbeGrid(0.0, 1e-323, 3)  # two subnormal steps still make a grid
 
 
 # -------------------------------------------------------------- validation
