@@ -247,6 +247,15 @@ def _ensemble_from(options: dict, seed: int) -> MotionEnsemble:
     )
 
 
+def _config_range(key: str, start: float, stop: float, points: int) -> np.ndarray:
+    """``np.linspace`` over the config range ``key``, refused if it overflows."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return np.linspace(float(start), float(stop), points)  # ints past int64 too
+        except FloatingPointError:
+            raise ConfigError(f"config range {key!r} overflows: [{start}, {stop}] x {points}")
+
+
 def _emitter_scan(
     command: str,
     opts: dict,
@@ -322,7 +331,7 @@ def cmd_scan2d(cfg: ScenarioConfig) -> int:
     det = opts["detuning"]
     if det["values"] is None:
         points = _count("detuning.points", det["points"], 1)
-        rows = np.linspace(det["start"], det["stop"], points).tolist()
+        rows = _config_range("detuning", det["start"], det["stop"], points).tolist()
     elif det["values"]:
         rows = [float(v) for v in det["values"]]
     else:
@@ -389,7 +398,7 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
     cal = stark_calibration([tuple(p) for p in opts["calibration_points"]])
     pw = opts["powers"]
     points = _count("powers.points", pw["points"], MIN_ARCTAN_POINTS)
-    powers = np.linspace(pw["start_nw"], pw["stop_nw"], points)
+    powers = _config_range("powers", pw["start_nw"], pw["stop_nw"], points)
     detunings = np.asarray(cal.power_to_detuning(powers))
 
     motion = opts["motion"]["enabled"]

@@ -577,10 +577,10 @@ def stark_calibration(
         raise RankDeficiencyError("all calibration points share one power; slope undefined")
     w = np.ones_like(powers)
     if uncertainties is not None:
-        u = np.asarray(uncertainties, dtype=float)
-        if u.shape != powers.shape or np.any(u <= 0.0):
-            raise ValueError("uncertainties must be positive and match the points")
-        w = 1.0 / u
+        u = [_real("calibration uncertainty", x, 0.0, strict=True) for x in uncertainties]
+        if len(u) != len(pts):
+            raise ValueError(f"uncertainties must match the points: {len(u)} for {len(pts)}")
+        w = 1.0 / np.array(u, dtype=float)
     design = np.column_stack([powers, np.ones_like(powers)]) * w[:, None]
     coef, *_ = np.linalg.lstsq(design, detunings * w, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])

@@ -141,8 +141,10 @@ class ModeNetwork:
     in MHz; the matrix must be real symmetric with zero diagonal.  ``drive``
     is the complex drive amplitude applied to each mode.  Instances are
     immutable; use :meth:`with_drive_on` / ``dataclasses.replace`` to derive
-    variants.  Labels, frequencies, decays, the mode matrix's diagonal and
-    the driven mode are derived once, at construction.
+    variants.  Construction derives the read-only ``labels``, ``frequencies``
+    and ``decays`` (in mode order) and ``matrix``, the mode matrix ``A =
+    diag(frequency - 1j*decay) + couplings`` that every solve, pole, zero and
+    oracle lift reads.
     """
 
     modes: tuple[Mode, ...]
@@ -163,10 +165,12 @@ class ModeNetwork:
             raise InvalidNetworkError(
                 f"couplings must be ({n}, {n}) for {n} modes, got {c.shape}"
             )
-        # np.count_nonzero: the cheapest reduction for arrays this small
-        if np.count_nonzero(np.isfinite(c)) != c.size:
+        # Python floats: cheaper to test than numpy ufuncs for the few modes of a
+        # network built in a loop
+        entries = c.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise InvalidNetworkError("couplings must be finite")
-        if np.count_nonzero(c.diagonal()):
+        if any(entries[:: n + 1]):
             raise InvalidNetworkError("self couplings (nonzero diagonal) are not allowed")
         # a matrix bit-equal to its transpose needs no elementwise compare (a
         # ufunc on a transposed view costs microseconds); 0.0 == -0.0 still holds
@@ -176,41 +180,31 @@ class ModeNetwork:
         d = np.array(self.drive, dtype=complex)
         if d.shape != (n,):
             raise InvalidNetworkError(f"drive must have shape ({n},), got {d.shape}")
-        amps = d.tolist()  # Python complexes: cheaper to test than a numpy ufunc at n ~ 2
+        amps = d.tolist()  # Python complexes, as for the couplings
         if not all(map(cmath.isfinite, amps)):
             raise InvalidNetworkError("drive amplitudes must be finite")
 
-        # diagonal of the mode matrix, frequency - 1j*decay
-        diagonal = np.array([complex(m.frequency, -m.decay) for m in modes])
-        decays = -diagonal.imag
-        for a in (c, d, diagonal, decays):
+        matrix = c.astype(complex)
+        matrix.ravel()[:: n + 1] = [complex(m.frequency, -m.decay) for m in modes]
+        matrix.setflags(write=False)
+        diagonal = matrix.diagonal()  # a read-only view
+        frequencies, decays = diagonal.real, -diagonal.imag
+        for a in (c, d, decays):
             a.setflags(write=False)
-        driven = int(np.abs(d).argmax())  # ties: first in order
+        driven = amps.index(max(amps, key=abs))  # ties: first in order
         vars(self).update(  # a frozen dataclass refuses plain attribute writes
             modes=modes,
             couplings=c,
             drive=d,
-            _labels=labels,
-            _frequencies=diagonal.real,
-            _decays=decays,
-            _diagonal=diagonal,
+            labels=labels,
+            frequencies=frequencies,
+            decays=decays,
+            matrix=matrix,
             _driven=driven if amps[driven] else None,
         )
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self._frequencies
-
-    @property
-    def decays(self) -> np.ndarray:
-        return self._decays
 
     @property
     def emitter_mask(self) -> np.ndarray:
@@ -220,7 +214,7 @@ class ModeNetwork:
 
     def index(self, label: str) -> int:
         try:
-            return self._labels.index(label)
+            return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no mode labelled {label!r} (have {self.labels})") from None
 
@@ -228,7 +222,7 @@ class ModeNetwork:
         """Label of the most strongly driven mode (ties: first in order)."""
         if self._driven is None:
             raise InvalidNetworkError("drive vector is identically zero")
-        return self._labels[self._driven]
+        return self.labels[self._driven]
 
     def with_drive_on(self, label: str, amplitude: complex = 1.0) -> "ModeNetwork":
         """Copy of the network driven only on ``label`` with ``amplitude``."""
@@ -252,14 +246,23 @@ class ProbeGrid:
             raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
         object.__setattr__(self, "points", _count("grid.points", self.points, 2))
         # a span that overflows, or a step that underflows to 0, has no uniform grid
-        _real("grid step", self.step, 0.0, strict=True)
+        step = _real("grid step", self.step, 0.0, strict=True)
+        # np.linspace rounds probe k as start + k*step, product then sum, and puts
+        # stop last.  Products round by up to ulp(last) and sums by ulp(end), or not
+        # at all below 2**-1021: a step over both puts each probe above the last one
+        last, end = (self.points - 2) * step, max(abs(self.start), abs(self.stop))
+        rounding = 0.0 if max(end, last) < 2.0**-1021 else math.ulp(last) + math.ulp(end)
+        if not (step > rounding and last + self.start < self.stop
+                and math.isfinite((self.points - 1) * step + self.start)):
+            raise ValueError(f"grid step {step!r} cannot make {self.points} finite, strictly "
+                             f"increasing float probes on [{self.start!r}, {self.stop!r}]")
 
     @property
     def step(self) -> float:
         return (self.stop - self.start) / (self.points - 1)
 
     def frequencies(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        return np.linspace(float(self.start), float(self.stop), self.points)  # ints past int64 too
 
 
 @dataclass(frozen=True)
@@ -274,17 +277,6 @@ class SteadyState:
         return complex(self.amplitudes[self.labels.index(label)])
 
 
-def _mode_matrix(network: ModeNetwork) -> np.ndarray:
-    """Mode matrix ``A = diag(frequency - 1j*decay) + couplings``.
-
-    Poles are ``eig(A)``, zeros its principal minors' eigenvalues, and the
-    steady state solves ``(probe*I - A) @ a = drive``.
-    """
-    a = network.couplings.astype(complex)
-    a.ravel()[:: len(network) + 1] = network._diagonal
-    return a
-
-
 def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
@@ -293,21 +285,22 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     family's elimination on numpy scalars, so both give the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
-    probe = float(probe)
+    probe = float(_real("probe", probe))
     n = len(network)
+    a = network.matrix
     if n <= _ELIMINATION_MAX_MODES:
         # the diagonal entries are numpy scalars, so each division _eliminate
         # makes meets one; -complex(g) is the family's (-g, -0.0)
-        d, b = network._diagonal, network.drive.tolist()
+        b = network.drive.tolist()
         if n == 1:
-            rows = [[probe - d[0], b[0]]]
+            rows = [[probe - a[0, 0], b[0]]]
         else:
-            g = -complex(network.couplings[0, 1])
-            rows = [[probe - d[0], g, b[0]], [g, probe - d[1], b[1]]]
+            g = -complex(a[0, 1])
+            rows = [[probe - a[0, 0], g, b[0]], [g, probe - a[1, 1], b[1]]]
         amps = np.array(_eliminate(rows))
     else:
-        m = np.negative(network.couplings.astype(complex))  # -complex(c), as above
-        m.ravel()[:: n + 1] = probe - network._diagonal
+        m = np.negative(a)
+        m.ravel()[:: n + 1] += probe
         try:
             amps = np.linalg.solve(m, network.drive)
         except np.linalg.LinAlgError as exc:
@@ -338,6 +331,8 @@ def steady_state_family(
     shifts = np.asarray(freq_shifts, dtype=float)
     scales = np.asarray(coupling_scale, dtype=float)
     probes = np.asarray(probes, dtype=float).ravel()
+    if not np.isfinite(probes).all():  # refused naming the first non-finite probe
+        _real("probe", float(probes[~np.isfinite(probes)][0]))
     n = len(network)
     if shifts.ndim != 3 or shifts.shape[2] != n or scales.shape != shifts.shape[:2]:
         raise ValueError(
@@ -351,7 +346,6 @@ def steady_state_family(
     scales = scales.T.ravel()
     emitter = network.emitter_mask
     rows, cols = np.nonzero((emitter[:, None] | emitter[None, :]) & ~np.eye(n, dtype=bool))
-    base = _mode_matrix(network)
     solve = _solve_eliminated if n <= _ELIMINATION_MAX_MODES else _solve_stacked
 
     out = np.empty((copies, probes.size, n), dtype=complex)
@@ -363,7 +357,7 @@ def steady_state_family(
         hi = min(lo + step, total)
         unit, probe = np.divmod(np.arange(lo, hi), probes.size)
         units = slice(unit[0], unit[-1] + 1)
-        x = solve(base, rows, cols, shifts[units], scales[units], unit - unit[0],
+        x = solve(network.matrix, rows, cols, shifts[units], scales[units], unit - unit[0],
                   probes.take(probe), network.drive)
         if not np.isfinite(x).all():  # a near-singular solve overflows without raising
             bad = probes[probe[np.isfinite(x).all(axis=1).argmin()]]

@@ -9,9 +9,9 @@ field must approach the coupled-mode amplitude; at finite drive the photon
 statistics (g2) distinguish the antiresonance -- where single emitter
 excitations block the resonator -- from the hybridised normal modes.
 
-The network's mode matrix ``A = diag(frequency - 1j*decay) + couplings``
-(:func:`antires.network._mode_matrix`) and drive ``d`` are lifted onto the
-Fock space as
+The network's mode matrix ``A = diag(frequency - 1j*decay) + couplings``,
+read from :attr:`antires.network.ModeNetwork.matrix` as every linear solve
+reads it, and its drive ``d`` are lifted onto the Fock space as
 
     K = -i (sum_jk A_jk a_j^dag a_k + sum_j (d_j a_j^dag + conj(d_j) a_j))
 
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Mode, ModeNetwork, _count, _mode_matrix, _real, steady_state_batch
+from .network import Mode, ModeNetwork, _count, _real, steady_state_batch
 
 # Largest density-matrix block the solver accepts, in entries a side: one
 # dense complex block of 2048 x 2048 is 64 MiB.  The pair at cutoff 40 needs 162.
@@ -402,7 +402,7 @@ def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
                         f"got {type(network).__name__}")
     cutoff = _count("cutoff", cutoff, 1)
     layout = _block_layout(tuple(m.kind for m in network.modes), cutoff)
-    coeffs = np.concatenate([_mode_matrix(network).ravel(), network.drive, network.drive.conj()])
+    coeffs = np.concatenate([network.matrix.ravel(), network.drive, network.drive.conj()])
     terms = coeffs[layout.k_term] * layout.k_weight
     lifted = np.bincount(layout.k_slot, terms.real, layout.n_k) + 1j * np.bincount(
         layout.k_slot, terms.imag, layout.n_k)

@@ -27,7 +27,6 @@ from .network import (
     ModeNetwork,
     ProbeGrid,
     _count,
-    _mode_matrix,
     _real,
     steady_state_batch,
     steady_state_family,
@@ -142,7 +141,7 @@ def resonances(network: ModeNetwork) -> list[ResonancePole]:
     eigenvalues (within 1e-6 in both center and width) are merged with a
     multiplicity count.
     """
-    vals = np.linalg.eigvals(_mode_matrix(network))
+    vals = np.linalg.eigvals(network.matrix)
     return [ResonancePole(c, w, m) for c, w, m in _group_eigenvalues(vals)]
 
 
@@ -156,10 +155,7 @@ def antiresonances(network: ModeNetwork, drive_label: str) -> list[Antiresonance
     """
     i = network.index(drive_label)
     keep = [j for j in range(len(network)) if j != i]
-    if not keep:
-        return []
-    sub = _mode_matrix(network)[np.ix_(keep, keep)]
-    vals = np.linalg.eigvals(sub)
+    vals = np.linalg.eigvals(network.matrix[np.ix_(keep, keep)])  # none for one mode
     out = []
     for c, w, m in _group_eigenvalues(vals):
         out.extend([AntiresonanceZero(drive_label, c, w)] * m)

@@ -166,6 +166,38 @@ def test_spectrum_of_a_grid_with_no_finite_positive_step_exits_2(tmp_path, grid)
     assert not (out / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("spectrum", {"grid": {"start": 1.0, "stop": 1.0000000000000002, "points": 3}}, "grid step"),
+    ("scan2d", {"detuning": {"start": -1e308, "stop": 1e308, "points": 3}}, "'detuning'"),
+    ("scan2d", {"detuning": {"start": -1e308, "stop": 1e308, "points": 1}}, "'detuning'"),
+    ("stark-scan", {"powers": {"start_nw": -1e308, "stop_nw": 1e308, "points": 61},
+                    "motion": {"enabled": False}}, "'powers'"),
+])
+def test_a_range_with_no_float_probes_exits_2_naming_its_key(tmp_path, command, config, key):
+    # half a float spacing a step repeats a probe; a span that overflows makes NaN
+    # rows: each is refused before any solve, not reported as a singular matrix
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, err = run_cli_stderr(command, "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and key in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command, config", [
+    ("scan2d", {"grid": {"points": 41}, "detuning": {"start": 3.0, "stop": -1e308, "points": 1}}),
+    ("scan2d", {"grid": {"points": 41}, "detuning": {"values": [1e300, -4.0]}}),
+    ("scan2d", {"grid": {"points": 41}, "detuning": {"start": 0, "stop": 10**20, "points": 3}}),
+    ("spectrum", {"grid": {"start": 0, "stop": 10**20, "points": 3}}),  # ints past int64
+    ("stark-scan", {"powers": {"points": 6}, "motion": {"enabled": False}}),
+])
+def test_ranges_that_do_not_overflow_run(tmp_path, command, config):
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", write_config(tmp_path, config), "--out", str(out))[0] == 0
+
+
 def test_scan2d_refuses_an_empty_detuning_list(tmp_path):
     cfg = write_config(tmp_path, {"detuning": {"values": []}})
     out = tmp_path / "x"

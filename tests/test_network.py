@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from antires.network import (
     ProbeGrid,
     SingularResponseError,
     _count,
-    _mode_matrix,
     closed_form_two_mode,
     load_network,
     network_from_dict,
@@ -28,7 +28,7 @@ from antires.network import (
 )
 from antires.presets import emitter_resonator, five_node_demo
 
-from helpers import traced_peak, two_mode_network
+from helpers import dense_mode_matrix, random_network, traced_peak, two_mode_network
 
 
 # ---------------------------------------------------------------- matrices
@@ -36,7 +36,7 @@ from helpers import traced_peak, two_mode_network
 
 def response_matrix(net, probe):
     """``M(probe) = probe*I - A``, the matrix every steady-state solve inverts."""
-    return probe * np.eye(len(net)) - _mode_matrix(net)
+    return probe * np.eye(len(net)) - net.matrix
 
 
 def test_single_mode_matrix_on_resonance():
@@ -81,6 +81,21 @@ def test_matrix_determinant_matches_closed_form_denominator():
         dpc = probe - f_c
         expected = (dpa + 1j * gam) * (dpc + 1j * kap) - g * g
         assert np.linalg.det(m) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    emitter_resonator,
+    five_node_demo,
+    *[pytest.param(lambda n=n: random_network(np.random.default_rng(n), n_modes=n),
+                   id=f"random-{n}-modes") for n in range(1, 8)],
+])
+def test_stored_mode_matrix_is_bit_equal_to_an_independent_build(build):
+    net = build()
+    a = net.matrix
+    assert a.dtype == complex and a.tobytes() == dense_mode_matrix(net).tobytes()
+    assert net.frequencies.tobytes() == np.array([m.frequency for m in net.modes]).tobytes()
+    assert net.decays.tobytes() == np.array([m.decay for m in net.modes]).tobytes()
+    assert net.labels == tuple(m.label for m in net.modes)
 
 
 # ------------------------------------------------------------ steady state
@@ -279,6 +294,22 @@ def test_an_overflowing_solve_raises_naming_the_probe():
             steady_state_batch(net, [-1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("build", [two_mode_network, five_node_demo])
+@pytest.mark.parametrize("probe", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_probe_is_refused_naming_it(build, probe):
+    # one mode pair by elimination, five nodes by LAPACK: refused before either
+    # solve, not reported as a singular matrix after numpy warns
+    net = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^probe must be a finite number, got {probe!r}$"):
+            steady_state(net, probe)
+        with pytest.raises(ValueError, match=rf"^probe must be a finite number, got {probe!r}$"):
+            steady_state_batch(net, [0.0, 1.0, probe, np.nan])
+        with pytest.raises(ValueError, match="probe"):
+            steady_state_family(net, np.zeros((2, 3, len(net))), np.ones((2, 3)), [probe])
+
+
 # ------------------------------------------------------------ family solve
 
 
@@ -429,6 +460,47 @@ def test_probe_grid_refuses_a_step_that_is_not_finite_and_positive(start, stop, 
     ProbeGrid(0.0, 1e-323, 3)  # two subnormal steps still make a grid
 
 
+@pytest.mark.parametrize("start, stop, points", [
+    (1.0, 1.0000000000000002, 3),  # half a float spacing: np.linspace repeats 1.0
+    # 1.25 float spacings a step, but 1000 products' roundings repeat probes
+    (-3.252244170522583e-307, -3.2522441705220913e-307, 1000),
+    (0.0, 1.7976931348623157e308, 4),  # the last product overflows before stop replaces it
+])
+def test_probe_grid_refuses_a_step_within_float_rounding(start, stop, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^grid step .* strictly increasing"):
+            ProbeGrid(start, stop, points)
+
+
+_FLOATS = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+@st.composite
+def _grid_ends(draw):
+    """Grid ends a few float spacings apart as often as far apart."""
+    start = draw(_FLOATS)
+    points = draw(st.integers(2, 400))
+    if draw(st.booleans()):
+        return start, draw(_FLOATS), points
+    spacings = draw(st.integers(0, 12 * points))
+    return start, start + spacings * math.ulp(start), points
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_ends())
+@example((1.0, 1.0000000000000002, 3))
+@example((0.0, 1e-323, 3))
+def test_every_accepted_grid_has_strictly_increasing_probes(ends):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = ProbeGrid(*ends)
+        except ValueError:
+            return
+        assert (np.diff(grid.frequencies()) > 0).all()
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -524,6 +596,11 @@ def test_arrays_are_read_only():
         net.couplings[0, 1] = 99.0
     with pytest.raises((ValueError, RuntimeError)):
         net.drive[0] = 0.0
+    for array in (net.matrix, net.frequencies, net.decays):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):  # the attributes themselves are frozen too
+        net.matrix = np.zeros((2, 2), dtype=complex)
 
 
 # ----------------------------------------------------------- serialization

@@ -104,6 +104,8 @@ NUMBERS = [
            lambda x: stark_calibration([(x, 12.0), (950.0, -5.0)]), 1),
     Number("stark_calibration", "calibration detuning_mhz", FINITE, ValueError,
            lambda x: stark_calibration([(1400.0, x), (950.0, -5.0)]), 1),
+    Number("stark_calibration", "calibration uncertainty", POSITIVE, ValueError,
+           lambda x: stark_calibration([(1400.0, 12.0), (950.0, -5.0)], [1.0, x]), 1),
     *[Number("JCParams", field, rule, ValueError,
              lambda x, f=field: JCParams(**{**JC, f: x}), 1, attrgetter(field))
       for field, rule in (("gamma", POSITIVE), ("kappa", POSITIVE), ("g", FINITE),
