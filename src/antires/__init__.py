@@ -44,21 +44,20 @@ from .fitting import (
     ArctanPhaseFit,
     FitConvergenceError,
     FitResult,
-    NonIdentifiableError,
-    PeriodicGaussianFit,
-    PhaseHistogram,
     RankDeficiencyError,
     StarkCalibration,
     fit_arctan_phase,
     fit_nlls,
-    fit_periodic_gaussian,
     stark_calibration,
 )
 from .heterodyne import (
     BeatNoteConfig,
+    CircularMean,
     ConfigError,
     LeakageWarning,
+    PhaseHistogram,
     accumulate_histogram,
+    circular_mean,
     demodulate,
     iq_windows,
     synthesize,

@@ -27,15 +27,16 @@ from .fitting import (
     FitConvergenceError,
     RankDeficiencyError,
     fit_arctan_phase,
-    fit_periodic_gaussian,
     stark_calibration,
 )
 from .heterodyne import (
     MAX_BINS,
     MAX_WINDOWS,
+    MIN_WINDOWS,
     BeatNoteConfig,
     ConfigError,
     accumulate_histogram,
+    circular_mean,
     iq_law_windows,
     synthesize,
     write_trace_csv,
@@ -534,7 +535,13 @@ def cmd_oracle_check(cfg: ScenarioConfig) -> int:
 
 
 _POINT_COLUMNS = ("probe_mhz", "model_phase_deg", "fitted_mean_deg",
-                  "fitted_sigma_deg", "mean_err_deg", "within_3sigma")
+                  "circular_sd_deg", "mean_err_deg", "within_bound")
+# Chance that a heterodyne-demo run misses its bound on some probe when every
+# estimate is unbiased: the two-sided 3-sigma rate, shared by all probes.
+FAMILY_MISS_RATE = 0.0027
+# Floor on a phase's standard error in the verdict: a noise-free record's
+# error rounds to 0, while its mean still carries rounding of ~1e-13 degrees.
+MIN_MEAN_ERR_DEG = 1e-9
 
 
 def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
@@ -543,11 +550,18 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
     idx = net.index(net.driven_label())
     probe_points = [float(p) for p in opts["probe_points"]]
     # checked up front, so that a bad config fails even with no probe points
-    windows = _count("windows", opts["windows"], 1, MAX_WINDOWS)
+    windows = _count("windows", opts["windows"], MIN_WINDOWS, MAX_WINDOWS)
     bins = _count("bins", opts["bins"], 4, MAX_BINS)
     # the SNR is quoted on the reference channel, so each point sets its own
     # reference amplitude; the timing fields are shared
     beat = BeatNoteConfig(**opts["beat"], snr_per_window=opts["snr_per_window"])
+    # imported here: statistics pulls in fractions and decimal, about 6 ms
+    # of start-up that no other subcommand needs
+    from statistics import NormalDist
+
+    # Sidak: each of the K probes misses with chance 1 - (1 - rate)^(1/K)
+    per_probe = 1.0 - (1.0 - FAMILY_MISS_RATE) ** (1.0 / max(len(probe_points), 1))
+    z_bound = NormalDist().inv_cdf(1.0 - per_probe / 2.0)
 
     def phases(field: complex, config: BeatNoteConfig, point: int, channel: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, point, channel)))
@@ -567,22 +581,20 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
 
         point_beat = replace(beat, reference_amplitude=abs(field_ref))
         # channel 0 is the system, channel 1 the empty-cavity reference
-        hist = accumulate_histogram(phases(field_sys, point_beat, k, 0),
-                                    phases(field_ref, point_beat, k, 1), bins=bins)
+        system, reference = phases(field_sys, point_beat, k, 0), phases(field_ref, point_beat, k, 1)
         if k == 0:
-            # not one of the histogrammed windows: a single synthesized window
+            # not one of the estimated windows: a single synthesized window
             # whose seed is drawn from the (seed, 0, 0) stream
             trace_seed = int(np.random.SeedSequence((cfg.seed, 0, 0)).generate_state(1)[0])
             write_trace_csv(synthesize(field_sys, replace(point_beat, seed=trace_seed)), beat,
                             cfg.out_dir / "trace_example.csv")
-        fit = fit_periodic_gaussian(hist)
-
-        err = max(fit.mean_err_deg, hist.bin_width / 2.0)
-        resid = abs((fit.mean_deg - model_diff + 180.0) % 360.0 - 180.0)
-        within = bool(resid <= 3.0 * err)
+        est = circular_mean(system, reference)
+        err = max(est.mean_err_deg, MIN_MEAN_ERR_DEG)
+        resid = abs((est.mean_deg - model_diff + 180.0) % 360.0 - 180.0)
+        within = bool(resid <= z_bound * err)
         all_within &= within
-        point_rows.append((probe, model_diff, fit.mean_deg, fit.sigma_deg, err, within))
-        hists.append(hist)
+        point_rows.append((probe, model_diff, est.mean_deg, est.sd_deg, err, within))
+        hists.append(accumulate_histogram(system, reference, bins=bins))
 
     write_csv(cfg.out_dir / "heterodyne_points.csv", _POINT_COLUMNS, list(zip(*point_rows)))
     write_csv(
@@ -597,16 +609,19 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         "snr_per_window": opts["snr_per_window"],
         "windows": windows,
         "bins": bins,
+        "z_bound": z_bound,
         "points": [dict(zip(_POINT_COLUMNS, row)) for row in point_rows],
-        "all_within_3sigma": bool(all_within),
+        "all_within_bound": bool(all_within),
     }
     write_json(report, cfg.out_dir / "heterodyne_report.json")
 
     print(f"heterodyne-demo: {len(probe_points)} probe points, {windows} windows each, "
           f"SNR {opts['snr_per_window']:g} per window on the reference channel")
-    print(" probe    model    fitted    sigma   err   3-sigma")
+    print(f"each circular mean must lie within {z_bound:.3f} standard errors of the model "
+          f"(a {FAMILY_MISS_RATE:.2%} chance miss over all probes)")
+    print(" probe    model      mean  circ-sd    err  bound")
     for p, m, f, s, e, w in point_rows:
-        print(f"{p:7.2f} {m:8.2f} {f:9.2f} {s:8.2f} {e:5.2f}   {'ok' if w else 'MISS'}")
+        print(f"{p:7.2f} {m:8.2f} {f:9.2f} {s:8.2f} {e:6.3f}  {'ok' if w else 'MISS'}")
     print(f"wrote {cfg.out_dir / 'heterodyne_points.csv'}, "
           f"{cfg.out_dir / 'heterodyne_histograms.csv'}, "
           f"{cfg.out_dir / 'heterodyne_report.json'}")
@@ -636,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stark-scan": "power-calibrated detuning scan with arctangent phase fit",
         "characterize": "locate the lossiest mode by comparing drive ports",
         "oracle-check": "validate the linear model against the exact quantum solver",
-        "heterodyne-demo": "draw heterodyne IQ windows and recover phases from histograms",
+        "heterodyne-demo": "draw heterodyne IQ windows and recover phases by circular means",
     }
     for name, text in help_lines.items():
         p = sub.add_parser(name, help=text)

@@ -31,10 +31,6 @@ class RankDeficiencyError(RuntimeError):
     """The normal equations are singular (unidentifiable parameters)."""
 
 
-class NonIdentifiableError(ValueError):
-    """The data cannot constrain the requested model at all."""
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of a Levenberg-Marquardt run.
@@ -374,160 +370,6 @@ def fit_arctan_phase(
         residual_norm=result.residual_norm,
         iterations=result.iterations,
         warnings=tuple(warnings),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Phase histograms and the wrapped-Gaussian peak
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhaseHistogram:
-    """Histogram of phases over one full 360-degree period.
-
-    ``edges`` (degrees) must be strictly increasing and span exactly one
-    period; ``counts`` has one entry fewer than ``edges``.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-            raise ValueError("edges must be a strictly increasing 1-D array")
-        if not math.isclose(edges[-1] - edges[0], 360.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(
-                f"edges must span exactly one 360-degree period, got {edges[-1] - edges[0]}"
-            )
-        if counts.shape != (edges.size - 1,):
-            raise ValueError("counts must have len(edges) - 1 entries")
-        if np.any(counts < 0.0):
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    def normalized(self) -> np.ndarray:
-        """Counts scaled to unit maximum (peak-normalised profile)."""
-        peak = self.counts.max()
-        if peak == 0.0:
-            raise ValueError("cannot normalise an empty histogram")
-        return self.counts / peak
-
-    def rotated(self, delta_deg: float) -> "PhaseHistogram":
-        """Histogram of the same samples rotated by a whole number of bins."""
-        shift = delta_deg / self.bin_width
-        n = round(shift)
-        if not math.isclose(shift, n, abs_tol=1e-9):
-            raise ValueError(
-                f"rotation {delta_deg} deg is not a whole number of {self.bin_width} deg bins"
-            )
-        return PhaseHistogram(edges=self.edges, counts=np.roll(self.counts, n))
-
-
-@dataclass(frozen=True)
-class PeriodicGaussianFit:
-    mean_deg: float
-    sigma_deg: float
-    amplitude: float
-    mean_err_deg: float
-    iterations: int
-
-
-def _wrap_deg(a: np.ndarray | float) -> np.ndarray | float:
-    return (np.asarray(a) + 180.0) % 360.0 - 180.0
-
-
-def fit_periodic_gaussian(hist: PhaseHistogram, min_total: float = 10.0) -> PeriodicGaussianFit:
-    """Fit a wrapped Gaussian peak to a phase histogram.
-
-    The model sums Gaussian images over winding numbers k in [-2, 2],
-    which is exact to double precision for sigma up to ~100 degrees.  The
-    fitted sigma is floored at half a bin width (narrower peaks are not
-    resolvable), and the mean is reported wrapped into [-180, 180).
-
-    Raises
-    ------
-    ValueError
-        Fewer than ``min_total`` total counts, or a ``min_total`` that is not a
-        finite non-negative number.
-    NonIdentifiableError
-        A flat histogram, which constrains no peak position at all.
-    """
-    if hist.total < _real("min_total", min_total, 0.0):
-        raise ValueError(f"histogram holds {hist.total} counts; need >= {min_total}")
-    if np.ptp(hist.counts) == 0.0:
-        raise NonIdentifiableError("flat histogram: peak position is unconstrained")
-
-    centers = hist.centers
-    counts = hist.counts
-    sigma_floor = hist.bin_width / 2.0
-
-    # circular moments seed the fit
-    ang = np.deg2rad(centers)
-    z = np.sum(counts * np.exp(1j * ang)) / max(counts.sum(), 1.0)
-    mean0 = math.degrees(math.atan2(z.imag, z.real))
-    r = min(max(abs(z), 1e-6), 1.0 - 1e-12)
-    sigma0 = max(math.degrees(math.sqrt(max(-2.0 * math.log(r), 1e-12))), sigma_floor)
-    amp0 = float(counts.max())
-
-    # An unresolved spike (nearly all counts in the peak bin and its two
-    # neighbours) pins sigma to the floor and leaves the least-squares
-    # problem degenerate; report the moment solution directly.  The two-bin
-    # count split still locates the mean at sub-bin resolution.
-    peak = int(np.argmax(counts))
-    n = counts.size
-    near_peak = counts[[(peak - 1) % n, peak, (peak + 1) % n]].sum()
-    if near_peak >= 0.95 * hist.total and sigma0 <= hist.bin_width:
-        return PeriodicGaussianFit(
-            mean_deg=float(_wrap_deg(mean0)),
-            sigma_deg=float(sigma_floor),
-            amplitude=amp0,
-            mean_err_deg=float(hist.bin_width / math.sqrt(12.0 * hist.total)),
-            iterations=0,
-        )
-
-    def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-        a, mu, sig = p
-        out = np.zeros_like(t)
-        for k in range(-2, 3):
-            out += np.exp(-0.5 * ((t - mu + 360.0 * k) / sig) ** 2)
-        return a * out
-
-    def project(p: np.ndarray) -> np.ndarray:
-        q = p.copy()
-        q[0] = abs(q[0])
-        q[2] = min(max(abs(q[2]), sigma_floor), 360.0)
-        return q
-
-    result = fit_nlls(
-        model,
-        [amp0, mean0, sigma0],
-        centers,
-        counts,
-        model_name="periodic_gaussian",
-        project=project,
-    )
-    a, mu, sig = result.params
-    return PeriodicGaussianFit(
-        mean_deg=float(_wrap_deg(mu)),
-        sigma_deg=float(sig),
-        amplitude=float(a),
-        mean_err_deg=float(result.stderr[1]),
-        iterations=result.iterations,
     )
 
 

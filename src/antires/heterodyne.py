@@ -19,6 +19,12 @@ over one window's carrier phases (not diagonal when the window leaks).
 :func:`iq_law_windows` draws the pairs from that law directly, in time
 linear in the window count plus the window length, with no trace; the CLI
 uses it, and the trace path stays for example traces and as the reference.
+
+:func:`circular_mean` estimates a probe's phase from its windows: the
+argument of the mean phasor of the phase differences, with its standard
+error and the circular standard deviation (N. I. Fisher, *Statistical
+Analysis of Circular Data*, 1993; Mardia & Jupp, *Directional Statistics*,
+2000).  :func:`accumulate_histogram` bins the same differences for display.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .fitting import PhaseHistogram
 from .network import _count, _real
 from .output import write_csv
 
@@ -49,6 +54,9 @@ class LeakageWarning(UserWarning):
 MAX_SAMPLES_PER_WINDOW = 10**6
 MAX_WINDOWS = 10**6
 MAX_BINS = 3600
+# Fewest windows the CLI estimates a phase from: the standard error of a
+# circular mean is a large-sample result.
+MIN_WINDOWS = 10
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,9 @@ def iq_law_windows(
     iq = (field * np.exp(1j * (2.0 * math.pi * config.if_freq_mhz * t0))[:, None] * u).real
     sigma = config.noise_sigma
     if sigma > 0.0:
-        chol = np.linalg.cholesky(sigma**2 * (basis @ basis.T))
+        # sigma scales the factor, not the matrix: sigma**2 under- or
+        # overflows at SNRs that sigma itself survives
+        chol = sigma * np.linalg.cholesky(basis @ basis.T)
         z = rng.standard_normal((windows, 2))
         # z @ chol.T, written out so that no row depends on the row count
         iq += z[:, :1] * chol[:, 0] + z[:, 1:] * chol[:, 1]
@@ -209,6 +219,53 @@ def write_trace_csv(trace: np.ndarray, config: BeatNoteConfig, path: str | Path)
     """Write a digitised trace as (t_us, current) rows."""
     t = np.arange(len(trace)) / config.sample_rate_msps
     write_csv(path, ["t_us", "current"], [t, np.asarray(trace, dtype=float)])
+
+
+@dataclass(frozen=True)
+class PhaseHistogram:
+    """Histogram of phases over one full 360-degree period.
+
+    ``edges`` (degrees) must be strictly increasing and span exactly one
+    period; ``counts`` has one entry fewer than ``edges``.
+    """
+
+    edges: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        edges = np.asarray(self.edges, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
+        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
+            raise ValueError("edges must be a strictly increasing 1-D array")
+        if not math.isclose(edges[-1] - edges[0], 360.0, rel_tol=0.0, abs_tol=1e-9):
+            raise ValueError(
+                f"edges must span exactly one 360-degree period, got {edges[-1] - edges[0]}"
+            )
+        if counts.shape != (edges.size - 1,):
+            raise ValueError("counts must have len(edges) - 1 entries")
+        if np.any(counts < 0.0):
+            raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def centers(self) -> np.ndarray:
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+    @property
+    def bin_width(self) -> float:
+        return float(self.edges[1] - self.edges[0])
+
+    @property
+    def total(self) -> float:
+        return float(self.counts.sum())
+
+    def normalized(self) -> np.ndarray:
+        """Counts scaled to unit maximum (peak-normalised profile)."""
+        peak = self.counts.max()
+        if peak == 0.0:
+            raise ValueError("cannot normalise an empty histogram")
+        return self.counts / peak
 
 
 def accumulate_histogram(
@@ -231,3 +288,40 @@ def accumulate_histogram(
     edges = np.linspace(-180.0, 180.0, bins + 1)
     counts, _ = np.histogram(wrapped, bins=edges)
     return PhaseHistogram(edges=edges, counts=counts.astype(float))
+
+
+
+class CircularMean(NamedTuple):
+    """Phase estimate from a record of phase differences, all in degrees."""
+
+    mean_deg: float  # in [-180, 180)
+    mean_err_deg: float  # standard error of mean_deg
+    sd_deg: float  # circular standard deviation of one difference
+
+
+def circular_mean(
+    phases_rad: Iterable[float], reference_rad: Iterable[float] | float
+) -> CircularMean:
+    """Circular mean of the phase differences (signal minus reference).
+
+    With ``m = mean(exp(i theta))`` over the N differences ``theta``, the
+    mean is ``arg m``, its standard error ``sqrt((1 - R2) / (2 N)) / |m|``
+    with ``R2 = mean cos 2(theta - arg m)``, and the circular standard
+    deviation ``sqrt(-2 ln |m|)``.  Raises ``ValueError`` for an empty
+    record.
+    """
+    theta = np.atleast_1d(
+        np.asarray(phases_rad, dtype=float) - np.asarray(reference_rad, dtype=float)
+    )
+    if theta.size == 0:
+        raise ValueError("cannot average an empty phase record")
+    m = np.mean(np.exp(1j * theta))
+    r = abs(m)
+    mean = math.atan2(m.imag, m.real)
+    r2 = float(np.mean(np.cos(2.0 * (theta - mean))))
+    return CircularMean(
+        mean_deg=(math.degrees(mean) + 180.0) % 360.0 - 180.0,
+        mean_err_deg=math.degrees(math.sqrt((1.0 - r2) / (2 * theta.size)) / r),
+        # |m| can exceed 1 by a rounding error when every phase is equal
+        sd_deg=math.degrees(math.sqrt(max(0.0, -2.0 * math.log(r)))),
+    )

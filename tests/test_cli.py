@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -488,7 +489,7 @@ def test_heterodyne_demo_small(tmp_path):
     code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out))
     assert code == 0
     report = json.loads((out / "heterodyne_report.json").read_text())
-    assert report["all_within_3sigma"] is True
+    assert report["all_within_bound"] is True
     assert len(report["points"]) == 3
     hist_rows = (out / "heterodyne_histograms.csv").read_text().splitlines()
     assert len(hist_rows) == 1 + 3 * 72
@@ -502,7 +503,9 @@ def test_heterodyne_demo_with_no_probe_points(tmp_path):
     out = tmp_path / "run"
     code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out))
     assert code == 0
-    assert json.loads((out / "heterodyne_report.json").read_text())["points"] == []
+    report = json.loads((out / "heterodyne_report.json").read_text())
+    assert report["points"] == []
+    assert report["z_bound"] == pytest.approx(3.0, abs=1e-3)  # the bound for one probe
 
 
 def test_heterodyne_model_phase_matches_closed_form(tmp_path):
@@ -532,10 +535,29 @@ def test_heterodyne_demo_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_heterodyne_points_csv_writes_booleans_as_words(tmp_path):
-    # at seed 5 this noisy, coarse run misses 3 sigma on the third point only
-    cfg = write_config(tmp_path, {"probe_points": [-20.0, -16.0, -10.0], "windows": 30,
-                                  "snr_per_window": 3.0, "bins": 36})
+def _bias_system_channel(monkeypatch, bias_deg, probes=None):
+    """Rotate the system field by ``bias_deg`` before its windows are drawn.
+
+    heterodyne-demo draws probe k's system windows and then its reference
+    windows, so draw 2k is probe k's system channel.  ``probes`` limits the
+    bias to those probe indices (all when None).
+    """
+    draws = itertools.count()
+    original = cli_module.iq_law_windows
+
+    def biased(field, config, windows, rng):
+        k, channel = divmod(next(draws), 2)
+        if channel == 0 and (probes is None or k in probes):
+            field *= np.exp(1j * math.radians(bias_deg))
+        return original(field, config, windows, rng)
+
+    monkeypatch.setattr(cli_module, "iq_law_windows", biased)
+
+
+def test_heterodyne_points_csv_writes_booleans_as_words(tmp_path, monkeypatch):
+    # a 5 degree bias on the third probe only is about 50 standard errors
+    _bias_system_channel(monkeypatch, 5.0, probes={2})
+    cfg = write_config(tmp_path, {"probe_points": [-20.0, -16.0, -10.0]})
     out = tmp_path / "run"
     code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out), "--seed", "5")
     assert code == 1
@@ -544,7 +566,18 @@ def test_heterodyne_points_csv_writes_booleans_as_words(tmp_path):
     rows = [line.split(",") for line in raw.decode().split("\r\n")[1:-1]]
     assert [r[-1] for r in rows] == ["True", "True", "False"]
     report = json.loads((out / "heterodyne_report.json").read_text())
-    assert [p["within_3sigma"] for p in report["points"]] == [True, True, False]
+    assert [p["within_bound"] for p in report["points"]] == [True, True, False]
+    assert report["all_within_bound"] is False
+
+
+def test_heterodyne_demo_fails_a_one_degree_bias(tmp_path, monkeypatch):
+    _bias_system_channel(monkeypatch, 1.0)
+    out = tmp_path / "run"
+    code, text = run_cli("heterodyne-demo", "--out", str(out))
+    assert code == 1
+    assert "MISS" in text
+    report = json.loads((out / "heterodyne_report.json").read_text())
+    assert not report["all_within_bound"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 23, 2024])
@@ -555,6 +588,50 @@ def test_heterodyne_demo_passes_3_sigma_at_4000_windows(tmp_path, seed):
     code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(tmp_path / "run"),
                       "--seed", str(seed))
     assert code == 0
+
+
+@pytest.mark.parametrize("windows, snr", [(400, 50.0), (400, 5.0), (200, 50.0), (200, 5.0)])
+def test_heterodyne_standard_errors_are_calibrated(tmp_path, windows, snr):
+    # (mean - model) / error is a unit normal when the error bar is right; the
+    # RMS of 900 of them (100 seeds of 9 probes) is 1 with a spread of 2.4%
+    cfg = write_config(tmp_path, {"windows": windows, "snr_per_window": snr})
+    z = []
+    for seed in range(100):
+        out = tmp_path / str(seed)
+        assert run_cli("heterodyne-demo", "--config", cfg, "--out", str(out),
+                       "--seed", str(seed))[0] in (0, 1)
+        report = json.loads((out / "heterodyne_report.json").read_text())
+        z += [((p["fitted_mean_deg"] - p["model_phase_deg"] + 180.0) % 360.0 - 180.0)
+              / p["mean_err_deg"] for p in report["points"]]
+    assert len(z) == 900
+    assert math.sqrt(np.mean(np.square(z))) == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("probes, z_bound", [(1, 3.000), (3, 3.320), (9, 3.615)])
+def test_heterodyne_bound_shares_a_3_sigma_miss_rate_over_the_probes(tmp_path, probes, z_bound):
+    cfg = write_config(tmp_path, {"probe_points": list(np.linspace(-20.0, 20.0, probes)),
+                                  "windows": 10})
+    out = tmp_path / "run"
+    run_cli("heterodyne-demo", "--config", cfg, "--out", str(out))
+    z = json.loads((out / "heterodyne_report.json").read_text())["z_bound"]
+    assert z == pytest.approx(z_bound, abs=5e-4)
+    miss_one = math.erfc(z / math.sqrt(2.0))  # two-sided tail of a unit normal
+    assert 1.0 - (1.0 - miss_one) ** probes == pytest.approx(0.0027, rel=1e-9)
+
+
+@pytest.mark.parametrize("snr, codes", [(1e300, {0}), (1e-300, {0, 1})])
+def test_heterodyne_demo_at_extreme_snr_runs_without_warnings(tmp_path, snr, codes):
+    # 1e300 is the noise-free limit, where a standard error rounds to 0 and
+    # only its floor keeps rounding from failing the verdict; at 1e-300 the
+    # windows are pure noise and carry no phase, so either verdict is chance
+    cfg = write_config(tmp_path, {"snr_per_window": snr})
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli("heterodyne-demo", "--config", cfg, "--out", str(out))
+    assert code in codes
+    points = json.loads((out / "heterodyne_report.json").read_text())["points"]
+    assert all(math.isfinite(p["mean_err_deg"]) and p["mean_err_deg"] > 0.0 for p in points)
 
 
 # ----------------------------------------------------------- error handling
@@ -605,9 +682,11 @@ def test_malformed_config_is_rejected(tmp_path):
      "window_us"),
     ("heterodyne-demo", '{"windows": 1000001}', "windows"),
     ("heterodyne-demo", '{"windows": 0}', "windows"),
+    ("heterodyne-demo", '{"windows": 9}', "windows"),
     ("heterodyne-demo", '{"bins": 3601}', "bins"),
     ("heterodyne-demo", '{"probe_points": [], "windows": 1000001}', "windows"),
     ("heterodyne-demo", '{"probe_points": [], "windows": 0}', "windows"),
+    ("heterodyne-demo", '{"probe_points": [], "windows": 5}', "windows"),
     ("heterodyne-demo", '{"probe_points": [], "bins": 3601}', "bins"),
     ("characterize", '{"rel_tol": NaN}', "rel_tol"),
     ("characterize", '{"network_params": {"decay_scale": 1.0}, "rel_tol": -0.5}', "rel_tol"),

@@ -3,13 +3,10 @@ import pytest
 
 from antires.fitting import (
     FitConvergenceError,
-    NonIdentifiableError,
-    PhaseHistogram,
     RankDeficiencyError,
     StarkCalibration,
     fit_arctan_phase,
     fit_nlls,
-    fit_periodic_gaussian,
     stark_calibration,
 )
 
@@ -207,94 +204,6 @@ def test_arctan_fit_warns_on_interior_wiggle():
     y = arctan_deg(x, **TRUE) + 40.0 * np.exp(-((x - TRUE["center"]) ** 2) / 0.5)
     fit = fit_arctan_phase(x, y)
     assert fit.warnings, "expected a non-monotone-core warning"
-
-
-# --------------------------------------------------------- periodic Gaussian
-
-
-def _histogram_from_samples(samples_deg, bins=72):
-    wrapped = (np.asarray(samples_deg) + 180.0) % 360.0 - 180.0
-    counts, edges = np.histogram(wrapped, bins=bins, range=(-180.0, 180.0))
-    return PhaseHistogram(edges=edges, counts=counts.astype(float))
-
-
-def test_periodic_gaussian_recovery():
-    rng = np.random.default_rng(42)
-    samples = rng.normal(170.0, 30.0, 20000)
-    hist = _histogram_from_samples(samples)
-    fit = fit_periodic_gaussian(hist)
-    err = abs((fit.mean_deg - 170.0 + 180.0) % 360.0 - 180.0)
-    assert err <= 2.0
-    assert fit.sigma_deg == pytest.approx(30.0, abs=2.0)
-    assert fit.mean_err_deg > 0.0
-
-
-def test_periodic_gaussian_wrap_consistency():
-    # the same distribution placed at the seam must fit just as well
-    rng = np.random.default_rng(43)
-    for mean in (178.0, -179.5):
-        samples = rng.normal(mean, 12.0, 8000)
-        fit = fit_periodic_gaussian(_histogram_from_samples(samples))
-        err = abs((fit.mean_deg - mean + 180.0) % 360.0 - 180.0)
-        assert err <= 1.5
-        assert fit.sigma_deg == pytest.approx(12.0, abs=1.5)
-
-
-def test_periodic_gaussian_rotation_equivariance():
-    rng = np.random.default_rng(44)
-    hist = _histogram_from_samples(rng.normal(-40.0, 25.0, 10000))
-    base = fit_periodic_gaussian(hist)
-    turned = fit_periodic_gaussian(hist.rotated(35.0))
-    want = (base.mean_deg + 35.0 + 180.0) % 360.0 - 180.0
-    assert turned.mean_deg == pytest.approx(want, abs=1e-6)
-    assert turned.sigma_deg == pytest.approx(base.sigma_deg, rel=1e-6)
-
-
-def test_periodic_gaussian_single_bin_spike():
-    edges = np.linspace(-180.0, 180.0, 73)
-    counts = np.zeros(72)
-    counts[40] = 500.0  # all mass in one 5-degree bin
-    hist = PhaseHistogram(edges=edges, counts=counts)
-    fit = fit_periodic_gaussian(hist)
-    center = 0.5 * (edges[40] + edges[41])
-    assert fit.mean_deg == pytest.approx(center, abs=1e-9)
-    assert fit.sigma_deg <= hist.bin_width
-    assert fit.iterations == 0
-    assert fit.mean_err_deg == pytest.approx(hist.bin_width / np.sqrt(12.0 * 500.0))
-
-
-def test_periodic_gaussian_flat_is_unidentifiable():
-    edges = np.linspace(-180.0, 180.0, 73)
-    hist = PhaseHistogram(edges=edges, counts=np.full(72, 9.0))
-    with pytest.raises(NonIdentifiableError):
-        fit_periodic_gaussian(hist)
-
-
-def test_periodic_gaussian_needs_counts():
-    edges = np.linspace(-180.0, 180.0, 73)
-    counts = np.zeros(72)
-    counts[3] = 4.0
-    with pytest.raises(ValueError):
-        fit_periodic_gaussian(PhaseHistogram(edges=edges, counts=counts))
-
-
-def test_histogram_validation_and_helpers():
-    with pytest.raises(ValueError):
-        PhaseHistogram(edges=np.linspace(-180.0, 170.0, 36), counts=np.zeros(35))
-    edges = np.linspace(-180.0, 180.0, 73)
-    with pytest.raises(ValueError):
-        PhaseHistogram(edges=edges, counts=np.zeros(10))
-    with pytest.raises(ValueError):
-        PhaseHistogram(edges=edges, counts=np.full(72, -1.0))
-    hist = PhaseHistogram(edges=edges, counts=np.arange(72, dtype=float))
-    assert hist.bin_width == pytest.approx(5.0)
-    assert hist.centers[0] == pytest.approx(-177.5)
-    assert hist.normalized().max() == pytest.approx(1.0)  # peak-normalised
-    with pytest.raises(ValueError):
-        hist.rotated(7.3)  # not a whole number of bins
-    empty = PhaseHistogram(edges=edges, counts=np.zeros(72))
-    with pytest.raises(ValueError):
-        empty.normalized()
 
 
 # ------------------------------------------------------- stark calibration

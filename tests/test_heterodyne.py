@@ -13,7 +13,9 @@ from antires.heterodyne import (
     BeatNoteConfig,
     ConfigError,
     LeakageWarning,
+    PhaseHistogram,
     accumulate_histogram,
+    circular_mean,
     demodulate,
     iq_law_windows,
     iq_windows,
@@ -346,6 +348,73 @@ def test_histogram_accepts_per_sample_reference():
     k = int(np.argmax(hist.counts))
     assert hist.edges[k] <= 12.0 < hist.edges[k + 1]
     assert hist.counts[k] == 100.0
+
+
+def test_histogram_validation_and_helpers():
+    with pytest.raises(ValueError):
+        PhaseHistogram(edges=np.linspace(-180.0, 170.0, 36), counts=np.zeros(35))
+    edges = np.linspace(-180.0, 180.0, 73)
+    with pytest.raises(ValueError):
+        PhaseHistogram(edges=edges, counts=np.zeros(10))
+    with pytest.raises(ValueError):
+        PhaseHistogram(edges=edges, counts=np.full(72, -1.0))
+    hist = PhaseHistogram(edges=edges, counts=np.arange(72, dtype=float))
+    assert hist.bin_width == pytest.approx(5.0)
+    assert hist.centers[0] == pytest.approx(-177.5)
+    assert hist.normalized().max() == pytest.approx(1.0)  # peak-normalised
+    empty = PhaseHistogram(edges=edges, counts=np.zeros(72))
+    with pytest.raises(ValueError):
+        empty.normalized()
+
+
+# ------------------------------------------------------------ circular mean
+
+
+def test_circular_mean_recovers_a_known_mean():
+    # a wrapped normal's circular standard deviation is its sigma exactly,
+    # and the mean's standard error is sigma / sqrt(N) to first order
+    rng = np.random.default_rng(42)
+    samples = np.radians(rng.normal(170.0, 30.0, 20000))
+    est = circular_mean(samples, 0.0)
+    assert abs(est.mean_deg - 170.0) <= 3.0 * est.mean_err_deg
+    assert est.sd_deg == pytest.approx(30.0, abs=0.5)
+    assert est.mean_err_deg == pytest.approx(30.0 / math.sqrt(20000), rel=0.05)
+
+
+def test_circular_mean_near_the_seam_is_reported_wrapped():
+    # the same distribution placed at +-180 degrees is estimated just as well
+    rng = np.random.default_rng(43)
+    for mean in (178.0, -179.5, 180.0):
+        samples = np.radians(rng.normal(mean, 12.0, 8000))
+        est = circular_mean(samples + 0.3, 0.3)
+        assert -180.0 <= est.mean_deg < 180.0
+        assert circ_err(np.radians(est.mean_deg), np.radians(mean)) <= np.radians(0.5)
+        assert est.sd_deg == pytest.approx(12.0, abs=0.5)
+    assert circular_mean([math.pi], 0.0).mean_deg == -180.0
+
+
+def test_circular_mean_rotates_with_its_phases():
+    rng = np.random.default_rng(44)
+    samples = np.radians(rng.normal(-40.0, 25.0, 10000))
+    base = circular_mean(samples, 0.0)
+    for delta in (35.0, -150.0, 7.3):
+        turned = circular_mean(samples + np.radians(delta), 0.0)
+        want = (base.mean_deg + delta + 180.0) % 360.0 - 180.0
+        assert turned.mean_deg == pytest.approx(want, abs=1e-9)
+        assert turned.mean_err_deg == pytest.approx(base.mean_err_deg, rel=1e-9)
+        assert turned.sd_deg == pytest.approx(base.sd_deg, rel=1e-9)
+
+
+def test_circular_mean_of_identical_phases_is_exact():
+    est = circular_mean(np.full(300, 0.4), np.full(300, 0.4 - math.radians(25.0)))
+    assert est.mean_deg == pytest.approx(25.0, abs=1e-12)
+    assert est.mean_err_deg == 0.0
+    assert est.sd_deg == pytest.approx(0.0, abs=1e-6)
+
+
+def test_circular_mean_of_no_phases_is_refused():
+    with pytest.raises(ValueError, match="empty"):
+        circular_mean(np.array([]), 0.0)
 
 
 # ------------------------------------------------------------------- files

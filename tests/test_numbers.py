@@ -16,7 +16,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import pytest
 
-from antires.fitting import PhaseHistogram, fit_periodic_gaussian, stark_calibration
+from antires.fitting import stark_calibration
 from antires.heterodyne import BeatNoteConfig, ConfigError
 from antires.network import (
     InvalidNetworkError,
@@ -44,8 +44,6 @@ BELOW = {FINITE: (), NON_NEGATIVE: (-5e-324,), POSITIVE: (0, 0.0)}
 JC = dict(gamma=3.0, kappa=1.5, g=16.0)
 NETWORK_DOC = network_to_dict(emitter_resonator())
 SPECTRUM = sweep(emitter_resonator(), ProbeGrid(-25.0, 25.0, 201))
-HISTOGRAM = PhaseHistogram(np.linspace(-180.0, 180.0, 13),
-                           [0, 1, 3, 8, 20, 40, 60, 40, 20, 8, 3, 1])
 
 
 def _network_file(section: str, key: str, value: Any):
@@ -98,8 +96,6 @@ NUMBERS = [
            lambda x: MotionEnsemble(frequency_jitter=x), 0, attrgetter("frequency_jitter")),
     Number("MotionEnsemble", "scale_bounds", FINITE, ValueError,
            lambda x: MotionEnsemble(scale_bounds=(0.5, x)), 1, lambda e: e.scale_bounds[1]),
-    Number("fit_periodic_gaussian", "min_total", NON_NEGATIVE, ValueError,
-           lambda x: fit_periodic_gaussian(HISTOGRAM, min_total=x), 0),
     Number("stark_calibration", "calibration power_nw", FINITE, ValueError,
            lambda x: stark_calibration([(x, 12.0), (950.0, -5.0)]), 1),
     Number("stark_calibration", "calibration detuning_mhz", FINITE, ValueError,
