@@ -34,7 +34,6 @@ from .spectra import (
     cancel_pole_zero_pairs,
     detect_antiresonances_numeric,
     lossy_component_identify,
-    motion_average,
     read_spectrum_csv,
     resonances,
     sweep,

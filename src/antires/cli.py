@@ -74,7 +74,6 @@ from .spectra import (
     detect_antiresonances_numeric,
     ensemble_mean_family,
     lossy_component_identify,
-    motion_average,
     poles_zeros_report,
     resonances,
     sweep,
@@ -237,7 +236,10 @@ def _resolve_network(options: dict) -> ModeNetwork:
     )
 
 
-def _ensemble_from(options: dict, seed: int) -> MotionEnsemble:
+def _ensemble_from(options: dict, seed: int) -> MotionEnsemble | None:
+    """The config's motion ensemble, or None (a still emitter) when it is disabled."""
+    if not options["enabled"]:
+        return None
     return MotionEnsemble(
         scale_mean=options["scale_mean"],
         scale_sigma=options["scale_sigma"],
@@ -272,10 +274,7 @@ def _emitter_scan(
     base = _preset("emitter-resonator", {"delta_er": 0.0, **opts["network_params"]})
     offsets = np.zeros((len(detunings), len(base)))
     offsets[:, base.emitter_mask] = -np.asarray(detunings, dtype=float)[:, None]
-    if ensemble is None:
-        amps = steady_state_family(base, offsets[:, None], np.ones((len(offsets), 1)), probes)
-    else:
-        amps = ensemble_mean_family(base, offsets, probes, ensemble)
+    amps = ensemble_mean_family(base, offsets, probes, ensemble)
     return amps[..., base.index(base.driven_label())]
 
 
@@ -292,11 +291,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     opts = cfg.options
     net = _resolve_network(opts)
     grid = ProbeGrid(**opts["grid"])
-    if opts["motion"]["enabled"]:
-        ensemble = _ensemble_from(opts["motion"], cfg.seed)
-        spectrum = motion_average(net, grid, ensemble)
-    else:
-        spectrum = sweep(net, grid)
+    spectrum = sweep(net, grid, _ensemble_from(opts["motion"], cfg.seed))
 
     drive_label = net.driven_label()
     poles, zeros = cancel_pole_zero_pairs(resonances(net), antiresonances(net, drive_label))
@@ -402,26 +397,30 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
     powers = _config_range("powers", pw["start_nw"], pw["stop_nw"], points)
     detunings = np.asarray(cal.power_to_detuning(powers))
 
-    motion = opts["motion"]["enabled"]
-    ensemble = _ensemble_from(opts["motion"], cfg.seed) if motion else None
+    ensemble = _ensemble_from(opts["motion"], cfg.seed)
     amps = _emitter_scan("stark-scan", opts, detunings, [0.0], ensemble)[:, 0]
     phase_deg = np.degrees(np.unwrap(np.angle(amps)))
 
-    fit = fit_arctan_phase(detunings, phase_deg, background=opts["fit"]["background"])
+    try:  # finite detunings can still be too far apart for the fit's arithmetic
+        with np.errstate(over="raise"):
+            fit = fit_arctan_phase(detunings, phase_deg, background=opts["fit"]["background"])
+    except FloatingPointError:
+        raise ConfigError(f"config keys 'powers' and 'calibration_points' give detunings "
+                          f"[{detunings[0]:g}, {detunings[-1]:g}] MHz: the phase fit overflows")
 
     write_csv(cfg.out_dir / "stark_scan.csv", ["power_nw", "induced_detuning_mhz", "phase_deg"],
               [powers, detunings, phase_deg])
 
     report = fit.to_report()
     report["calibration"] = cal.to_report()
-    report["motion_enabled"] = bool(motion)
+    report["motion_enabled"] = ensemble is not None
     report["n_powers"] = int(powers.size)
     write_json(report, cfg.out_dir / "stark_fit.json")
 
     print(f"stark-scan: {powers.size} powers "
           f"[{pw['start_nw']:.0f}, {pw['stop_nw']:.0f}] nW -> detunings "
           f"[{detunings[0]:+.2f}, {detunings[-1]:+.2f}] MHz "
-          f"(motion {'on' if motion else 'off'})")
+          f"(motion {'off' if ensemble is None else 'on'})")
     print(f"calibration: detuning = {cal.slope:.5f} MHz/nW * power {cal.intercept:+.3f} MHz")
     print(f"arctan fit: width {fit.width:.4f} MHz (err {fit.width_err:.4f}), "
           f"asymptotic swing {fit.swing_deg:.2f} deg")

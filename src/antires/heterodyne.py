@@ -107,6 +107,9 @@ class BeatNoteConfig:
             raise ConfigError(
                 f"window must hold an integer number (>= 2) of samples, got {n}"
             )
+        if not math.isfinite(self.noise_sigma):
+            raise ConfigError(f"snr_per_window {self.snr_per_window!r} overflows the noise "
+                              f"sigma (reference amplitude {self.reference_amplitude:g})")
 
     @property
     def samples_per_window(self) -> int:
@@ -122,7 +125,8 @@ class BeatNoteConfig:
         if self.snr_per_window is None:
             return 0.0
         n = self.samples_per_window
-        return self.reference_amplitude * math.sqrt(n / 2.0) / self.snr_per_window
+        # in Python floats, which overflow to inf without a numpy warning
+        return float(self.reference_amplitude) * math.sqrt(n / 2.0) / float(self.snr_per_window)
 
 
 def synthesize(field: complex, config: BeatNoteConfig, windows: int = 1) -> np.ndarray:

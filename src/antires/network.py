@@ -280,9 +280,9 @@ class SteadyState:
 def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
-    The one-member, one-probe case of :func:`steady_state_family`, without
-    its stacking overhead: up to ``_ELIMINATION_MAX_MODES`` modes it runs the
-    family's elimination on numpy scalars, so both give the same bits.
+    The one-member, one-probe case of :func:`steady_state_family`: a batch of
+    one, except that up to ``_ELIMINATION_MAX_MODES`` modes it runs the family's
+    elimination on numpy scalars, without the stacking overhead, for the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
     probe = float(_real("probe", probe))
@@ -299,12 +299,7 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
             rows = [[probe - a[0, 0], g, b[0]], [g, probe - a[1, 1], b[1]]]
         amps = np.array(_eliminate(rows))
     else:
-        m = np.negative(a)
-        m.ravel()[:: n + 1] += probe
-        try:
-            amps = np.linalg.solve(m, network.drive)
-        except np.linalg.LinAlgError as exc:
-            raise SingularResponseError(f"singular response matrix at probe={probe}") from exc
+        amps = steady_state_batch(network, [probe])[0]
     if not all(map(cmath.isfinite, amps.tolist())):  # an overflowing solve does not raise
         raise SingularResponseError(f"singular response matrix at probe={probe}")
     return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)

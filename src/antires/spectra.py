@@ -111,12 +111,6 @@ class AntiresonanceZero:
     at_boundary: bool = False
 
 
-def sweep(network: ModeNetwork, grid: ProbeGrid) -> ComplexSpectrum:
-    """Steady-state spectrum of every mode over the grid."""
-    amps = steady_state_batch(network, grid.frequencies())
-    return ComplexSpectrum(grid=grid, labels=network.labels, amplitudes=amps)
-
-
 def _group_eigenvalues(
     values: np.ndarray, tol: float = 1e-6
 ) -> list[tuple[float, float, int]]:
@@ -397,7 +391,7 @@ def detect_antiresonances_numeric(
 
 
 # ---------------------------------------------------------------------------
-# Motional ensemble averaging
+# Sweeps and motional ensemble averaging
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -502,7 +496,7 @@ def ensemble_mean_family(
     network: ModeNetwork,
     freq_offsets: np.ndarray,
     probes: np.ndarray,
-    ensemble: MotionEnsemble,
+    ensemble: MotionEnsemble | None,
 ) -> np.ndarray:
     """Ensemble means for ``G`` copies of ``network``, shape ``(G, P, N)``.
 
@@ -510,26 +504,27 @@ def ensemble_mean_family(
     ``(G, N)``) before the members' shifts apply, so all copies share the
     same ensemble draws.  The ensemble is the member axis of one
     :func:`steady_state_family` call, which sums members in order: the
-    result is bit-identical to averaging the members one by one.
+    result is bit-identical to averaging the members one by one.  With no
+    ensemble each copy is its one unperturbed member.
     """
     offsets = np.asarray(freq_offsets, dtype=float)
+    if ensemble is None:
+        return steady_state_family(network, offsets[:, None], np.ones((len(offsets), 1)), probes)
     scales, shifts = ensemble.members(network)
     family_scales = np.broadcast_to(scales, (len(offsets), scales.size))
     return steady_state_family(network, offsets[:, None] + shifts[None], family_scales, probes)
 
 
-def ensemble_mean_amplitudes(
-    network: ModeNetwork, probes: np.ndarray, ensemble: MotionEnsemble
-) -> np.ndarray:
-    """Mean complex amplitudes over the motional ensemble, shape (P, N)."""
-    return ensemble_mean_family(network, np.zeros((1, len(network))), probes, ensemble)[0]
-
-
-def motion_average(
-    network: ModeNetwork, grid: ProbeGrid, ensemble: MotionEnsemble
+def sweep(
+    network: ModeNetwork, grid: ProbeGrid, ensemble: MotionEnsemble | None = None
 ) -> ComplexSpectrum:
-    """Like :func:`sweep`, but averaged over the motional ensemble."""
-    amps = ensemble_mean_amplitudes(network, grid.frequencies(), ensemble)
+    """Steady-state spectrum of every mode over the grid, averaged over the
+    motional ``ensemble`` when one is given."""
+    if ensemble is None:
+        amps = steady_state_batch(network, grid.frequencies())
+    else:
+        offsets = np.zeros((1, len(network)))
+        amps = ensemble_mean_family(network, offsets, grid.frequencies(), ensemble)[0]
     return ComplexSpectrum(grid=grid, labels=network.labels, amplitudes=amps)
 
 

@@ -31,7 +31,7 @@ from antires.presets import emitter_resonator
 from antires.spectra import (
     MotionEnsemble,
     detect_antiresonances_numeric,
-    ensemble_mean_amplitudes,
+    ensemble_mean_family,
     read_spectrum_csv,
     sweep,
 )
@@ -256,6 +256,32 @@ def test_stark_scan_rank_deficient_fit_exits_1_without_traceback(tmp_path, paylo
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("motion", [False, True])
+def test_stark_scan_range_whose_fit_overflows_exits_2_naming_its_keys(tmp_path, motion):
+    # finite powers that calibrate to detunings near 1e307 MHz: the arctangent
+    # fit's slopes and normal equations overflow, which is a refused config
+    cfg = write_config(tmp_path, {"powers": {"start_nw": 1e306, "stop_nw": 1.7e308, "points": 61},
+                                  "motion": {"enabled": motion, "samples": 8}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli_stderr("stark-scan", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error: ") and "'powers'" in err and "'calibration_points'" in err
+
+
+@pytest.mark.parametrize("powers, codes", [
+    ({"start_nw": -2000.0, "stop_nw": 5000.0, "points": 401}, {0}),  # -115 to +146 MHz
+    ({"start_nw": 1e100, "stop_nw": 1e101, "points": 61}, {1}),  # a flat phase: rank deficient
+])
+def test_stark_scan_wide_ranges_that_fit_without_overflow_are_accepted(tmp_path, powers, codes):
+    cfg = write_config(tmp_path, {"powers": powers, "motion": {"enabled": False}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli_stderr("stark-scan", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert code in codes
+    assert "powers" not in err
+
+
 def test_stark_scan_motionless(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -306,7 +332,7 @@ def test_stark_scan_matches_per_power_solves(tmp_path, motion):
     for _, detuning, _ in rows:
         net = emitter_resonator(delta_er=-float(detuning))
         if motion:
-            amps.append(ensemble_mean_amplitudes(net, np.array([0.0]), ensemble)[0, 0])
+            amps.append(ensemble_mean_family(net, np.zeros((1, 2)), [0.0], ensemble)[0, 0, 0])
         else:
             amps.append(steady_state(net, 0.0).amplitude("cavity"))
     phase = np.degrees(np.unwrap(np.angle(np.asarray(amps))))
@@ -688,6 +714,10 @@ def test_malformed_config_is_rejected(tmp_path):
     ("heterodyne-demo", '{"probe_points": [], "windows": 0}', "windows"),
     ("heterodyne-demo", '{"probe_points": [], "windows": 5}', "windows"),
     ("heterodyne-demo", '{"probe_points": [], "bins": 3601}', "bins"),
+    ("heterodyne-demo", '{"snr_per_window": 1e-308}', "snr_per_window"),
+    ("heterodyne-demo", '{"probe_points": [], "snr_per_window": 5e-324}', "snr_per_window"),
+    ("stark-scan", '{"powers": {"start_nw": 1e306, "stop_nw": 1.7e308, "points": 61}, '
+                   '"motion": {"enabled": false}}', "powers"),
     ("characterize", '{"rel_tol": NaN}', "rel_tol"),
     ("characterize", '{"network_params": {"decay_scale": 1.0}, "rel_tol": -0.5}', "rel_tol"),
     ("oracle-check", '{"deviation_limit": NaN}', "deviation_limit"),
@@ -719,11 +749,14 @@ def test_bad_config_values_exit_2_naming_the_field(tmp_path, monkeypatch, comman
     path = tmp_path / "cfg.json"
     path.write_text(text)
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([command, "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert field in err.getvalue()
     assert not list((tmp_path / "x").glob("*.csv"))  # refused before any table is written
+    assert [str(w.message) for w in caught] == []  # refused, not reported after numpy warns
 
 
 def _leaves(tree, path=()):

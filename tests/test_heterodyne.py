@@ -66,6 +66,14 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="seed"):
             BeatNoteConfig(seed=value)
     BeatNoteConfig(snr_per_window=None, seed=np.uint32(7))
+    # a per-sample sigma that overflows is refused, checked in Python floats so
+    # that numpy does not warn first; a reference amplitude can tip it over too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for snr, amplitude in ((1e-308, 1.0), (5e-324, 1.0), (1e-300, np.float64(1e10))):
+            with pytest.raises(ConfigError, match="snr_per_window"):
+                BeatNoteConfig(snr_per_window=snr, reference_amplitude=amplitude)
+        assert math.isfinite(BeatNoteConfig(snr_per_window=1e-305).noise_sigma)
     BeatNoteConfig(window_us=MAX_SAMPLES_PER_WINDOW / 50.0)
     for window_us in (MAX_SAMPLES_PER_WINDOW / 50.0 + 0.02, 1e300):
         with pytest.raises(ConfigError, match="window_us"):

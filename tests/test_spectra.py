@@ -16,9 +16,8 @@ from antires.spectra import (
     antiresonances,
     cancel_pole_zero_pairs,
     detect_antiresonances_numeric,
-    ensemble_mean_amplitudes,
+    ensemble_mean_family,
     lossy_component_identify,
-    motion_average,
     poles_zeros_report,
     read_spectrum_csv,
     resonances,
@@ -443,11 +442,11 @@ def test_emitter_column_shows_no_dip_at_its_own_frequency():
 def test_ensemble_draw_is_deterministic():
     ens = MotionEnsemble(samples=8, seed=5)
     net = emitter_resonator()
-    a = ensemble_mean_amplitudes(net, GRID.frequencies(), ens)
-    b = ensemble_mean_amplitudes(net, GRID.frequencies(), ens)
+    a = sweep(net, GRID, ens).amplitudes
+    b = sweep(net, GRID, ens).amplitudes
     np.testing.assert_array_equal(a, b)
     other = MotionEnsemble(samples=8, seed=6)
-    c = ensemble_mean_amplitudes(net, GRID.frequencies(), other)
+    c = sweep(net, GRID, other).amplitudes
     assert not np.array_equal(a, c)
 
 
@@ -456,9 +455,21 @@ def test_zero_variance_ensemble_equals_plain_sweep():
         scale_mean=1.0, scale_sigma=0.0, frequency_jitter=0.0, samples=4, seed=1
     )
     net = emitter_resonator()
-    averaged = motion_average(net, GRID, ens)
+    averaged = sweep(net, GRID, ens)
     plain = sweep(net, GRID)
     np.testing.assert_array_equal(averaged.amplitudes, plain.amplitudes)
+
+
+def test_no_ensemble_is_the_still_member_of_each_copy():
+    # ensemble=None: each copy is its one unperturbed member, bit for bit the
+    # network built with that emitter frequency
+    detunings = [-7.5, 0.0, 12.5]
+    base = emitter_resonator(delta_er=0.0)
+    still = ensemble_mean_family(base, [[0.0, d] for d in detunings], GRID.frequencies(), None)
+    assert still.shape == (3, GRID.points, 2)
+    for k, d in enumerate(detunings):
+        net = emitter_resonator(delta_er=d)
+        assert still[k].tobytes() == sweep(net, GRID).amplitudes.tobytes()
 
 
 def test_ensemble_scale_only_touches_emitter_couplings():
@@ -525,13 +536,14 @@ def test_draw_is_member_k_of_the_family_arrays():
 def test_ensemble_mean_is_bit_identical_to_averaging_drawn_networks(monkeypatch):
     net = emitter_resonator()
     ens = MotionEnsemble(samples=11, seed=4)
-    probes = np.linspace(-10.0, 10.0, 51)
+    grid = ProbeGrid(-10.0, 10.0, 51)
+    probes = grid.frequencies()
     reference = np.mean([steady_state_batch(ens.draw(net, k), probes) for k in range(11)], axis=0)
-    np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
+    np.testing.assert_array_equal(sweep(net, grid, ens).amplitudes, reference)
     # four members per chunk: 11 members leave a partial last chunk
     monkeypatch.setattr(network_module, "_CHUNK_BYTES",
                         4 * probes.size * network_module._system_bytes(len(net)))
-    np.testing.assert_array_equal(ensemble_mean_amplitudes(net, probes, ens), reference)
+    np.testing.assert_array_equal(sweep(net, grid, ens).amplitudes, reference)
 
 
 def test_ensemble_mean_working_set_is_bounded():
@@ -539,8 +551,9 @@ def test_ensemble_mean_working_set_is_bounded():
     ens = MotionEnsemble(samples=512)
     probes = np.linspace(-25.0, 25.0, 1001)
     # first-call allocations (generator set-up) are not the solve's
-    ensemble_mean_amplitudes(net, probes[:3], MotionEnsemble(samples=2))
-    _, peak = traced_peak(lambda: ensemble_mean_amplitudes(net, probes, ens))
+    still = np.zeros((1, len(net)))
+    ensemble_mean_family(net, still, probes[:3], MotionEnsemble(samples=2))
+    _, peak = traced_peak(lambda: ensemble_mean_family(net, still, probes, ens))
     assert peak <= 2 * network_module._CHUNK_BYTES
 
 
