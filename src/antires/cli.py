@@ -422,8 +422,9 @@ def cmd_stark_scan(cfg: ScenarioConfig) -> int:
           f"[{detunings[0]:+.2f}, {detunings[-1]:+.2f}] MHz "
           f"(motion {'off' if ensemble is None else 'on'})")
     print(f"calibration: detuning = {cal.slope:.5f} MHz/nW * power {cal.intercept:+.3f} MHz")
-    print(f"arctan fit: width {fit.width:.4f} MHz (err {fit.width_err:.4f}), "
-          f"asymptotic swing {fit.swing_deg:.2f} deg")
+    par, err = fit.parameters, fit.standard_errors
+    print(f"arctan fit: width {par['width']:.4f} MHz (err {err['width']:.4f}), "
+          f"asymptotic swing {par['swing_deg']:.2f} deg")
     print(f"observed phase span across scan: {fit.span_deg:.2f} deg")
     for w in fit.warnings:
         print(f"warning: {w}")

@@ -208,52 +208,41 @@ def fit_nlls(
 # Arctangent phase profile
 # ---------------------------------------------------------------------------
 
+# the fit's parameters in fit order; also the keys of its report's dicts
+ARCTAN_PARAMETERS = ("center", "width", "swing_deg", "offset_deg", "tilt_deg_per_unit")
+
+
 @dataclass(frozen=True)
 class ArctanPhaseFit:
     """Fitted dispersive phase step phi(x) = offset - (swing/pi)*atan((x-center)/width) [+ tilt*(x-center)].
 
-    All phases in degrees, ``center``/``width`` in the units of the fit
-    axis.  ``span_deg`` is the peak-to-peak of the fitted curve evaluated on
-    the data grid -- the directly observable phase contrast, which is
-    smaller than the asymptotic ``swing`` on any finite scan.
+    ``result`` is the Levenberg-Marquardt run, trace and covariance
+    included.  ``parameters`` and ``standard_errors`` name its entries by
+    ``ARCTAN_PARAMETERS``; the tilt is there only when it was fitted.  All
+    phases are in degrees, center and width in the units of the fit axis.
+    ``span_deg`` is the peak-to-peak of the fitted curve evaluated on the
+    data grid -- the directly observable phase contrast, which is smaller
+    than the asymptotic swing on any finite scan.
     """
 
-    center: float
-    width: float
-    swing_deg: float
-    offset_deg: float
-    tilt: float
-    center_err: float
-    width_err: float
-    swing_err: float
-    offset_err: float
-    tilt_err: float
+    result: FitResult
     span_deg: float
-    residual_norm: float
-    iterations: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def parameters(self) -> dict[str, float]:
+        return dict(zip(ARCTAN_PARAMETERS, map(float, self.result.params)))
+
+    @property
+    def standard_errors(self) -> dict[str, float]:
+        return dict(zip(ARCTAN_PARAMETERS, map(float, self.result.stderr)))
 
     def to_report(self) -> dict:
         return {
-            "model": "arctan_phase",
-            "parameters": {
-                "center": self.center,
-                "width": self.width,
-                "swing_deg": self.swing_deg,
-                "offset_deg": self.offset_deg,
-                "tilt_deg_per_unit": self.tilt,
-            },
-            "standard_errors": {
-                "center": self.center_err,
-                "width": self.width_err,
-                "swing_deg": self.swing_err,
-                "offset_deg": self.offset_err,
-                "tilt_deg_per_unit": self.tilt_err,
-            },
+            **self.result.to_report(),
+            "parameters": self.parameters,
+            "standard_errors": self.standard_errors,
             "span_deg": self.span_deg,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": True,
             "warnings": list(self.warnings),
         }
 
@@ -320,23 +309,12 @@ def fit_arctan_phase(
         q[1] = max(abs(q[1]), w_floor)
         return q
 
-    if background == "linear":
+    def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+        c, w, s, o, *tilt = p
+        phase = o - (s / math.pi) * np.arctan((t - c) / w)
+        return phase + tilt[0] * (t - c) if tilt else phase
 
-        def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-            c, w, s, o, m = p
-            return o - (s / math.pi) * np.arctan((t - c) / w) + m * (t - c)
-
-        p0 = [center0, width0, swing0, offset0, 0.0]
-        names = 5
-    else:
-
-        def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-            c, w, s, o = p
-            return o - (s / math.pi) * np.arctan((t - c) / w)
-
-        p0 = [center0, width0, swing0, offset0]
-        names = 4
-
+    p0 = [center0, width0, swing0, offset0] + ([0.0] if background == "linear" else [])
     weights = None if uncertainties is None else 1.0 / np.asarray(uncertainties, dtype=float)
     result = fit_nlls(
         model, p0, x, phase, weights, model_name="arctan_phase", project=project
@@ -353,24 +331,7 @@ def fit_arctan_phase(
             )
 
     curve = model(result.params, x)
-    err = list(result.stderr) + [math.nan] * (5 - names)
-    par = list(result.params) + [0.0] * (5 - names)
-    return ArctanPhaseFit(
-        center=float(par[0]),
-        width=float(par[1]),
-        swing_deg=float(par[2]),
-        offset_deg=float(par[3]),
-        tilt=float(par[4]),
-        center_err=float(err[0]),
-        width_err=float(err[1]),
-        swing_err=float(err[2]),
-        offset_err=float(err[3]),
-        tilt_err=float(err[4]),
-        span_deg=float(np.ptp(curve)),
-        residual_norm=result.residual_norm,
-        iterations=result.iterations,
-        warnings=tuple(warnings),
-    )
+    return ArctanPhaseFit(result, float(np.ptp(curve)), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

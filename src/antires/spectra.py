@@ -114,16 +114,23 @@ class AntiresonanceZero:
 def _group_eigenvalues(
     values: np.ndarray, tol: float = 1e-6
 ) -> list[tuple[float, float, int]]:
-    order = np.argsort(values.real, kind="stable")
-    grouped: list[tuple[float, float, int]] = []
+    """``(center, half_width, multiplicity)`` by ascending center.
+
+    Values are visited in (center, half_width) order, and each joins the
+    first group whose leading value is within ``tol`` in both, so the
+    groups do not depend on the order of ``values``.
+    """
+    order = np.lexsort((-values.imag, values.real))
+    grouped: list[list] = []
     for z in values[order]:
         c, w = float(z.real), float(-z.imag)
-        if grouped and abs(grouped[-1][0] - c) <= tol and abs(grouped[-1][1] - w) <= tol:
-            pc, pw, m = grouped[-1]
-            grouped[-1] = (pc, pw, m + 1)
+        for g in grouped:
+            if abs(g[0] - c) <= tol and abs(g[1] - w) <= tol:
+                g[2] += 1
+                break
         else:
-            grouped.append((c, w, 1))
-    return grouped
+            grouped.append([c, w, 1])
+    return [tuple(g) for g in grouped]
 
 
 def resonances(network: ModeNetwork) -> list[ResonancePole]:
@@ -376,17 +383,12 @@ def detect_antiresonances_numeric(
     # A dip bottom cut off by the grid edge: the lowest sample of the scan
     # sits on the boundary AND the phase there falls steeply (the zero's
     # signature -- pole tails and plain rolloff have rising or gentle phase).
-    slopes = np.gradient(np.unwrap(np.angle(col)), probes)
-    steep = 2.0 * float(np.median(np.abs(slopes)))
     imin = int(np.argmin(logmag))
-    if imin == 0 and slopes[0] < -steep:
-        found.insert(
-            0, AntiresonanceZero(drive_label, float(probes[0]), math.nan, at_boundary=True)
-        )
-    elif imin == logmag.size - 1 and slopes[-1] < -steep:
-        found.append(
-            AntiresonanceZero(drive_label, float(probes[-1]), math.nan, at_boundary=True)
-        )
+    if imin in (0, logmag.size - 1):
+        slopes = np.gradient(np.unwrap(np.angle(col)), probes)
+        if slopes[imin] < -2.0 * float(np.median(np.abs(slopes))):
+            edge = AntiresonanceZero(drive_label, float(probes[imin]), math.nan, at_boundary=True)
+            found.insert(0 if imin == 0 else len(found), edge)
     return found
 
 

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import io
 import itertools
 import json
@@ -18,6 +19,8 @@ import antires
 from antires import cli as cli_module
 from antires import oracle as oracle_module
 from antires.cli import DEFAULTS, main
+from antires.fitting import fit_arctan_phase
+from antires.heterodyne import BeatNoteConfig, accumulate_histogram
 from antires.network import (
     Mode,
     ModeNetwork,
@@ -26,12 +29,13 @@ from antires.network import (
     save_network,
     steady_state,
 )
-from antires.oracle import CutoffConvergenceError, DensityMatrixError
+from antires.oracle import CutoffConvergenceError, DensityMatrixError, JCParams, linear_limit_check
 from antires.presets import emitter_resonator
 from antires.spectra import (
     MotionEnsemble,
     detect_antiresonances_numeric,
     ensemble_mean_family,
+    lossy_component_identify,
     read_spectrum_csv,
     sweep,
 )
@@ -803,6 +807,53 @@ def test_any_json_value_in_any_config_leaf_ends_in_an_exit_code(tmp_path, leaf, 
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code in (0, 1, 2, 3)
+
+
+def _library_default(callable_, name):
+    """The default of ``callable_``'s parameter or dataclass field ``name``."""
+    return inspect.signature(callable_).parameters[name].default
+
+
+def _restated(options, callable_, names=None):
+    """``options`` (lists as tuples, ``enabled`` dropped) and ``callable_``'s
+    defaults for the same keys, or for ``names`` where they differ."""
+    cli = {k: tuple(v) if isinstance(v, list) else v for k, v in options.items() if k != "enabled"}
+    return cli, {k: _library_default(callable_, names.get(k, k) if names else k) for k in cli}
+
+
+_ORACLE, _HETERODYNE = DEFAULTS["oracle-check"], DEFAULTS["heterodyne-demo"]
+# Each CLI default that restates a library default, as (CLI values, library values).
+_RESTATED_DEFAULTS = {
+    "spectrum motion": _restated(DEFAULTS["spectrum"]["motion"], MotionEnsemble),
+    "stark-scan motion": _restated(DEFAULTS["stark-scan"]["motion"], MotionEnsemble),
+    "heterodyne-demo beat": _restated(_HETERODYNE["beat"], BeatNoteConfig),
+    "spectrum prominence_db": _restated(
+        {"prominence_db": DEFAULTS["spectrum"]["prominence_db"]}, detect_antiresonances_numeric),
+    "scan2d prominence_db": _restated(
+        {"prominence_db": DEFAULTS["scan2d"]["prominence_db"]}, detect_antiresonances_numeric),
+    "characterize rel_tol": _restated(
+        {"rel_tol": DEFAULTS["characterize"]["rel_tol"]}, lossy_component_identify),
+    "heterodyne-demo bins": _restated({"bins": _HETERODYNE["bins"]}, accumulate_histogram),
+    "oracle-check eta_over_kappa": _restated(
+        {"eta_over_kappa": _ORACLE["eta_over_kappa"]}, linear_limit_check),
+    "oracle-check rates": _restated(
+        {k: _ORACLE[k] for k in ("gamma", "kappa", "g")}, emitter_resonator, {"g": "coupling"}),
+    "oracle-check cutoff": _restated({"cutoff": _ORACLE["cutoff"]}, JCParams),
+    "heterodyne-demo delta_er": _restated(_HETERODYNE["network_params"], emitter_resonator),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESTATED_DEFAULTS))
+def test_cli_defaults_equal_the_library_defaults_they_restate(name):
+    cli_value, library_value = _RESTATED_DEFAULTS[name]
+    assert cli_value == library_value
+
+
+def test_stark_scan_fit_background_differs_from_the_library_on_purpose():
+    # a Stark scan spans only a few tens of zero widths, so the CLI fits the
+    # tilt that neighbouring features put on the phase; the library fits none
+    assert DEFAULTS["stark-scan"]["fit"]["background"] == "linear"
+    assert _library_default(fit_arctan_phase, "background") == "none"
 
 
 def test_missing_network_file_is_rejected(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from antires import fitting
 from antires.fitting import (
+    ARCTAN_PARAMETERS,
     FitConvergenceError,
     RankDeficiencyError,
     StarkCalibration,
@@ -123,11 +125,11 @@ def test_arctan_fit_recovers_exact_profile():
     x = np.linspace(-20.0, 20.0, 81)
     y = arctan_deg(x, **TRUE)
     fit = fit_arctan_phase(x, y)
-    assert fit.center == pytest.approx(TRUE["center"], abs=1e-6)
-    assert fit.width == pytest.approx(TRUE["width"], rel=1e-6)
-    assert fit.swing_deg == pytest.approx(TRUE["swing"], rel=1e-6)
-    assert fit.offset_deg == pytest.approx(TRUE["offset"], abs=1e-6)
-    assert fit.residual_norm < 1e-6
+    assert fit.parameters["center"] == pytest.approx(TRUE["center"], abs=1e-6)
+    assert fit.parameters["width"] == pytest.approx(TRUE["width"], rel=1e-6)
+    assert fit.parameters["swing_deg"] == pytest.approx(TRUE["swing"], rel=1e-6)
+    assert fit.parameters["offset_deg"] == pytest.approx(TRUE["offset"], abs=1e-6)
+    assert fit.result.residual_norm < 1e-6
     assert fit.warnings == ()
     # the observable contrast is the curve's spread on this grid
     assert fit.span_deg == pytest.approx(np.ptp(y), abs=1e-6)
@@ -138,9 +140,9 @@ def test_arctan_fit_with_linear_background():
     x = np.linspace(-18.0, 22.0, 101)
     y = arctan_deg(x, tilt=0.8, **TRUE)
     fit = fit_arctan_phase(x, y, background="linear")
-    assert fit.center == pytest.approx(TRUE["center"], abs=1e-5)
-    assert fit.width == pytest.approx(TRUE["width"], rel=1e-5)
-    assert fit.tilt == pytest.approx(0.8, rel=1e-5)
+    assert fit.parameters["center"] == pytest.approx(TRUE["center"], abs=1e-5)
+    assert fit.parameters["width"] == pytest.approx(TRUE["width"], rel=1e-5)
+    assert fit.parameters["tilt_deg_per_unit"] == pytest.approx(0.8, rel=1e-5)
 
 
 def test_arctan_fit_descending_axis():
@@ -148,9 +150,9 @@ def test_arctan_fit_descending_axis():
     y = arctan_deg(x, **TRUE)
     up = fit_arctan_phase(x, y)
     down = fit_arctan_phase(x[::-1], y[::-1])
-    assert down.center == pytest.approx(up.center, abs=1e-9)
-    assert down.width == pytest.approx(up.width, rel=1e-9)
-    assert down.swing_deg == pytest.approx(up.swing_deg, rel=1e-9)
+    assert down.parameters["center"] == pytest.approx(up.parameters["center"], abs=1e-9)
+    assert down.parameters["width"] == pytest.approx(up.parameters["width"], rel=1e-9)
+    assert down.parameters["swing_deg"] == pytest.approx(up.parameters["swing_deg"], rel=1e-9)
 
 
 def test_arctan_fit_axis_rescaling():
@@ -160,10 +162,10 @@ def test_arctan_fit_axis_rescaling():
     y = arctan_deg(x, **TRUE)
     mhz = fit_arctan_phase(x, y)
     ghz = fit_arctan_phase(x / 1000.0, y)
-    assert ghz.center == pytest.approx(mhz.center / 1000.0, rel=1e-6)
-    assert ghz.width == pytest.approx(mhz.width / 1000.0, rel=1e-6)
-    assert ghz.swing_deg == pytest.approx(mhz.swing_deg, rel=1e-8)
-    assert ghz.offset_deg == pytest.approx(mhz.offset_deg, rel=1e-8)
+    assert ghz.parameters["center"] == pytest.approx(mhz.parameters["center"] / 1000.0, rel=1e-6)
+    assert ghz.parameters["width"] == pytest.approx(mhz.parameters["width"] / 1000.0, rel=1e-6)
+    assert ghz.parameters["swing_deg"] == pytest.approx(mhz.parameters["swing_deg"], rel=1e-8)
+    assert ghz.parameters["offset_deg"] == pytest.approx(mhz.parameters["offset_deg"], rel=1e-8)
     assert ghz.span_deg == pytest.approx(mhz.span_deg, rel=1e-8)
 
 
@@ -178,13 +180,44 @@ def test_arctan_fit_noise_recovery_within_errors():
             fit = fit_arctan_phase(x, noisy)
         except FitConvergenceError:
             continue
+        par, err = fit.parameters, fit.standard_errors
         ok = (
-            abs(fit.center - TRUE["center"]) <= 3.0 * fit.center_err
-            and abs(fit.width - TRUE["width"]) <= 3.0 * fit.width_err
-            and abs(fit.swing_deg - TRUE["swing"]) <= 3.0 * fit.swing_err
+            abs(par["center"] - TRUE["center"]) <= 3.0 * err["center"]
+            and abs(par["width"] - TRUE["width"]) <= 3.0 * err["width"]
+            and abs(par["swing_deg"] - TRUE["swing"]) <= 3.0 * err["swing_deg"]
         )
         good += ok
     assert good >= 95
+
+
+def test_arctan_fit_keeps_its_lm_result(monkeypatch):
+    runs = []
+
+    def recording_fit_nlls(*args, **kwargs):
+        runs.append(fit_nlls(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(fitting, "fit_nlls", recording_fit_nlls)
+    x = np.linspace(-18.0, 22.0, 101)
+    fit = fit_arctan_phase(x, arctan_deg(x, tilt=0.8, **TRUE), background="linear")
+    assert len(runs) == 1 and fit.result is runs[0]
+    assert len(fit.result.trace) == fit.result.iterations > 0
+    assert fit.result.trace[-1]["cost"] == pytest.approx(fit.result.residual_norm**2)
+    assert fit.result.cov.shape == (5, 5)
+
+
+@pytest.mark.parametrize("background, fitted", [("none", 4), ("linear", 5)])
+def test_arctan_fit_report_names_the_result(background, fitted):
+    x = np.linspace(-18.0, 22.0, 101)
+    fit = fit_arctan_phase(x, arctan_deg(x, tilt=0.8, **TRUE), background=background)
+    rep, lm = fit.to_report(), fit.result.to_report()
+    names = ARCTAN_PARAMETERS[:fitted]
+    assert rep["parameters"] == dict(zip(names, lm["parameters"])) == fit.parameters
+    assert rep["standard_errors"] == dict(zip(names, lm["standard_errors"])) == fit.standard_errors
+    for key in ("model", "residual_norm", "iterations", "converged"):
+        assert rep[key] == lm[key]
+    assert rep["model"] == "arctan_phase" and rep["converged"] is True
+    assert rep["span_deg"] == fit.span_deg and rep["warnings"] == []
 
 
 def test_arctan_fit_validation():

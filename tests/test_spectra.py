@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,53 @@ def test_degenerate_eigenvalues_are_merged():
     assert len(poles) == 1
     assert poles[0].multiplicity == 2
     assert poles[0].center == pytest.approx(5.0)
+
+
+def _repeated_mode_networks():
+    """(modes, couplings, driven label) with repeated complex frequencies."""
+    bare = [Mode(f"r{k}", "resonator", 0.0, d) for k, d in enumerate((1.0, 2.0, 1.0))]
+    yield bare, np.zeros((3, 3)), "r1"
+    # a cavity coupled alike to two identical emitters leaves a dark state on
+    # their frequency, which an uncoupled emitter repeats; two more uncoupled
+    # emitters repeat the cavity and share the dark state's center
+    modes = [
+        Mode("c", "resonator", 0.0, 1.5),
+        Mode("e1", "emitter", -3.0, 3.0),
+        Mode("e2", "emitter", -3.0, 3.0),
+        Mode("e3", "emitter", 0.0, 1.5),
+        Mode("e4", "emitter", -3.0, 3.0),
+        Mode("e5", "emitter", -3.0, 1.0),
+    ]
+    g = np.zeros((6, 6))
+    g[0, 1] = g[1, 0] = g[0, 2] = g[2, 0] = 16.0
+    yield modes, g, "c"
+
+
+def _pole_zero_tables(modes, couplings, driven, order):
+    net = ModeNetwork(
+        tuple(modes[i] for i in order),
+        couplings[np.ix_(order, order)],
+        np.array([1.0 + 0j if modes[i].label == driven else 0j for i in order]),
+    )
+    poles, zeros = resonances(net), antiresonances(net, driven)
+
+    def table(items):
+        return sorted(
+            (round(x.center, 9) + 0.0, round(x.half_width, 9) + 0.0, getattr(x, "multiplicity", 1))
+            for x in items
+        )
+
+    kept_p, kept_z = cancel_pole_zero_pairs(poles, zeros)
+    return table(poles), table(zeros), table(kept_p), table(kept_z)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_multiplicities_do_not_depend_on_mode_order(case):
+    modes, couplings, driven = list(_repeated_mode_networks())[case]
+    want = _pole_zero_tables(modes, couplings, driven, list(range(len(modes))))
+    for order in itertools.permutations(range(len(modes))):
+        assert _pole_zero_tables(modes, couplings, driven, list(order)) == want, order
+    assert sum(m for *_, m in want[0]) == len(modes) > len(want[0])  # some pole repeats
 
 
 def test_random_network_poles_match_raw_eigvals():
