@@ -18,13 +18,13 @@ Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
 couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
 solves it for a *family* sharing one topology -- copies of ``network``, each
 averaged over members with their own frequency shifts and emitter coupling
-scales -- in one loop of chunks, each chunk's working set under 1 MiB.  A
-network of one or two modes is solved by Gaussian elimination with partial
-pivoting written over arrays: each entry of ``[M | drive]`` is one array
-across a chunk's systems, so a chunk costs a few dozen numpy calls.  Larger
-networks stack each chunk's matrices for one LAPACK solve per system.  The
-single-network solvers are its one-copy, one-member views and give the same
-bits.
+scales -- in one loop of chunks, each chunk's working set under 1 MiB.
+:func:`_solve` builds every chunk's systems, with one array across the chunk
+for each entry of ``M`` that differs between them.  One or two modes are
+solved by Gaussian elimination with partial pivoting written over those
+arrays, larger networks by one LAPACK solve per system.  A single
+:func:`steady_state` is :func:`_solve` on one system, or up to two modes the
+same elimination on numpy scalars; either way it gives a batch's bits.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ _CHUNK_BYTES = 2**20
 # larger ones by one LAPACK call per system.  Up to two modes LAPACK's per-call
 # overhead is most of a solve, and a batch by elimination is about 3x faster.  A
 # single steady_state must give a batch's bits, so it runs the same elimination
-# on numpy scalars, one ufunc call per product.  Elimination written for n modes
-# was measured too (2-core Xeon): in batches it gained up to five modes and lost
-# from seven, but a single three-mode solve took about twice one LAPACK call
+# on numpy scalars, one ufunc call per product: 5-11 us a call, against 13 us at
+# one mode and 40 at two for _solve on one system.  Elimination written for n
+# modes was measured too (2-core Xeon): in batches it gained up to five modes and
+# lost from seven, but a single three-mode solve took about twice one LAPACK call
 # (33 vs 17 us), so it is written out for one and two modes only.
 _ELIMINATION_MAX_MODES = 2
 
@@ -280,9 +281,9 @@ class SteadyState:
 def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
-    The one-member, one-probe case of :func:`steady_state_family`: a batch of
-    one, except that up to ``_ELIMINATION_MAX_MODES`` modes it runs the family's
-    elimination on numpy scalars, without the stacking overhead, for the same bits.
+    The one-member, one-probe case of :func:`steady_state_family`: its
+    :func:`_solve` on one system, except that up to ``_ELIMINATION_MAX_MODES``
+    modes it runs the same elimination on numpy scalars, for the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
     probe = float(_real("probe", probe))
@@ -297,9 +298,11 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
         else:
             g = -complex(a[0, 1])
             rows = [[probe - a[0, 0], g, b[0]], [g, probe - a[1, 1], b[1]]]
-        amps = np.array(_eliminate(rows))
+        with np.errstate(all="ignore"):  # an overflowing solve is refused below
+            amps = np.array(_eliminate(rows))
     else:
-        amps = steady_state_batch(network, [probe])[0]
+        amps = _solve(network, np.zeros((1, n)), np.ones(1), np.zeros(1, dtype=int),
+                      np.array([probe]))[0]
     if not all(map(cmath.isfinite, amps.tolist())):  # an overflowing solve does not raise
         raise SingularResponseError(f"singular response matrix at probe={probe}")
     return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)
@@ -339,9 +342,6 @@ def steady_state_family(
     # one row per unit, a (member, copy) network, member-major
     shifts = np.moveaxis(shifts, 1, 0).reshape(-1, n)
     scales = scales.T.ravel()
-    emitter = network.emitter_mask
-    rows, cols = np.nonzero((emitter[:, None] | emitter[None, :]) & ~np.eye(n, dtype=bool))
-    solve = _solve_eliminated if n <= _ELIMINATION_MAX_MODES else _solve_stacked
 
     out = np.empty((copies, probes.size, n), dtype=complex)
     sums = out.reshape(-1, n)  # one row per (copy, probe) system of a member
@@ -352,8 +352,7 @@ def steady_state_family(
         hi = min(lo + step, total)
         unit, probe = np.divmod(np.arange(lo, hi), probes.size)
         units = slice(unit[0], unit[-1] + 1)
-        x = solve(network.matrix, rows, cols, shifts[units], scales[units], unit - unit[0],
-                  probes.take(probe), network.drive)
+        x = _solve(network, shifts[units], scales[units], unit - unit[0], probes.take(probe))
         if not np.isfinite(x).all():  # a near-singular solve overflows without raising
             bad = probes[probe[np.isfinite(x).all(axis=1).argmin()]]
             raise SingularResponseError(f"singular response matrix at probe={bad}")
@@ -382,49 +381,42 @@ def _system_bytes(n: int) -> int:
     return 16 * n * (n + 1)  # the stacked matrix and its solution
 
 
-def _solve_stacked(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, shifts: np.ndarray,
-                   scales: np.ndarray, unit: np.ndarray, probes: np.ndarray,
-                   drive: np.ndarray) -> np.ndarray:
+def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, unit: np.ndarray,
+           probes: np.ndarray) -> np.ndarray:
     """Solve ``(probes[s]*I - a[unit[s]]) @ x = drive`` for every system ``s``, where
-    ``a[u]`` is ``base`` with its diagonal shifted by ``shifts[u]`` and the couplings at
-    ``(rows, cols)`` scaled by ``scales[u]``: one LAPACK solve per system.  A function
-    of its own so the stacked matrices are freed before the caller folds the solutions
-    into its result.
+    ``a[u]`` is ``network.matrix`` with its diagonal shifted by ``shifts[u]`` and every
+    coupling that touches an emitter scaled by ``scales[u]``.  Those entries of ``M``
+    are built once, one array over the systems, and one at a time, so a chunk holds
+    at most one beside its stacked matrices; the rest are the shared ``-A[j, k]``.
+    A function of its own so a chunk's arrays are freed before the caller folds its
+    solutions into its result.
     """
-    n = len(base)
-    a = np.repeat(base[None], len(scales), axis=0)
-    # one strided column at a time: numpy buffers a 2-D strided update
-    for j in range(n):
-        a[:, j, j] += shifts[:, j]
-    for j, i in zip(rows.tolist(), cols.tolist()):
-        a[:, j, i] *= scales
-    np.negative(a, out=a)
-    ms = a.take(unit, axis=0)
-    del a
-    for j in range(n):
-        ms[:, j, j] += probes
-    rhs = np.broadcast_to(drive, ms.shape[:-1])[..., None]
+    a = network.matrix
+    n = len(a)
+    emitter = network.emitter_mask.tolist()
+
+    def varying():  # M is symmetric: one array serves both (j, k) and (k, j)
+        for j in range(n):
+            yield j, j, probes - (a[j, j] + shifts[:, j]).take(unit)
+            for k in range(j + 1, n):
+                if emitter[j] or emitter[k]:
+                    yield j, k, np.negative(a[j, k] * scales).take(unit)
+
+    if n <= _ELIMINATION_MAX_MODES:
+        rows = [[-a[j, k] for k in range(n)] + [network.drive[j]] for j in range(n)]
+        for j, k, entry in varying():
+            rows[j][k] = rows[k][j] = entry
+        with np.errstate(all="ignore"):  # a solution that overflows is refused by the caller
+            return np.stack(_eliminate(rows), axis=-1)
+    ms = np.empty((unit.size, n, n), dtype=complex)
+    ms[:] = -a
+    for j, k, entry in varying():
+        ms[:, j, k] = ms[:, k, j] = entry
+    rhs = np.broadcast_to(network.drive, ms.shape[:-1])[..., None]
     try:
         return np.linalg.solve(ms, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularResponseError("singular response matrix in family solve") from exc
-
-
-def _solve_eliminated(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, shifts: np.ndarray,
-                      scales: np.ndarray, unit: np.ndarray, probes: np.ndarray,
-                      drive: np.ndarray) -> np.ndarray:
-    """:func:`_solve_stacked` by :func:`_eliminate`, with each entry of ``[M | drive]``
-    one array over the systems, or a scalar where every system shares it."""
-    n = len(base)
-    diagonal = base.diagonal() + shifts
-    augmented = [[-base[j, k] for k in range(n)] + [drive[j]] for j in range(n)]
-    for j, k in zip(rows.tolist(), cols.tolist()):
-        if j < k:  # M is symmetric: one array serves both entries
-            augmented[j][k] = augmented[k][j] = np.negative(base[j, k] * scales).take(unit)
-    for j in range(n):
-        augmented[j][j] = probes - diagonal[:, j].take(unit)
-    with np.errstate(all="ignore"):  # a solution that overflows is refused by the caller
-        return np.stack(_eliminate(augmented), axis=-1)
 
 
 def _eliminate(rows: list) -> list:

@@ -276,11 +276,11 @@ def test_two_mode_solve_is_accurate_through_the_exceptional_point(drive):
         assert (residual / scale).max() <= 1e-15
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_an_overflowing_solve_raises_naming_the_probe():
     # a decay of 5e-324 MHz passes validation, but at the mode's own frequency
-    # the response overflows: elimination (one mode) and LAPACK (three) refuse it;
-    # numpy warns of the scalar solve's overflow before it is refused
+    # the response overflows: elimination (one mode) and LAPACK (three) refuse it,
+    # single solve or batch, without a numpy warning
     one = ModeNetwork((Mode("c", "resonator", 0.0, 5e-324),), np.zeros((1, 1)),
                       np.array([1.0 + 0j]))
     three = ModeNetwork(
@@ -319,8 +319,31 @@ def _one_emitter_five_node():
     return replace(net, modes=modes)
 
 
+def _one_mode():
+    return ModeNetwork((Mode("e", "emitter", 0.5, 2.0),), np.zeros((1, 1)), np.array([1.0 + 0j]))
+
+
+def _two_resonators():
+    net = emitter_resonator()
+    return replace(net, modes=tuple(replace(m, kind="resonator") for m in net.modes))
+
+
+def _two_emitter_four_node():
+    # every kind of coupling entry: emitter-emitter (e0-e1), resonator-resonator
+    # (r2-r3), emitter-resonator (e0-r2) and emitter couplings of 0 (e1-r2, e1-r3)
+    modes = (Mode("e0", "emitter", 1.0, 1.5), Mode("e1", "emitter", -2.0, 0.8),
+             Mode("r2", "resonator", 0.0, 3.0), Mode("r3", "resonator", 4.0, 2.0))
+    c = np.zeros((4, 4))
+    for j, k, g in ((0, 1, 2.5), (2, 3, 5.0), (0, 2, 7.0)):
+        c[j, k] = c[k, j] = g
+    return ModeNetwork(modes, c, np.array([0.0, 0.0, 1.0, 0.3j]))
+
+
 FAMILY_NETWORKS = {
+    "one-mode": _one_mode,
     "two-mode": emitter_resonator,
+    "two-resonators": _two_resonators,
+    "four-node-two-emitters": _two_emitter_four_node,
     "five-node-one-emitter": _one_emitter_five_node,
     "no-emitter": five_node_demo,
 }
@@ -375,8 +398,9 @@ def test_family_is_bit_identical_to_per_member_networks(name):
     np.testing.assert_array_equal(mean, np.mean(family, axis=0, keepdims=True))
 
 
-def test_family_chunking_does_not_change_results(monkeypatch):
-    net = _one_emitter_five_node()
+@pytest.mark.parametrize("name", ["five-node-one-emitter", "four-node-two-emitters"])
+def test_family_chunking_does_not_change_results(monkeypatch, name):
+    net = FAMILY_NETWORKS[name]()
     n = len(net)
     probes = np.linspace(-30.0, 30.0, 41)
     shifts, scales = _family_inputs(net, 2, 3)
