@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a requested check failed, 2 bad usage or config,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -202,7 +203,7 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     options = DEFAULTS[args.command]
     if args.config is not None:
         try:
-            user = json.loads(Path(args.config).read_text())
+            user = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
@@ -663,6 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # a mode label the locale cannot encode is escaped in the summary, not a
+        # failed run; the output files are UTF-8 whatever the locale
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         cfg = _load_scenario(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -579,4 +579,4 @@ def save_network(network: ModeNetwork, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> ModeNetwork:
-    return network_from_dict(json.loads(Path(path).read_text()))
+    return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -622,14 +622,20 @@ def write_spectrum_csv(spectrum: ComplexSpectrum, path: str | Path) -> None:
 
 
 def read_spectrum_csv(path: str | Path) -> ComplexSpectrum:
-    """Read a spectrum CSV back.  ``probe_mhz`` needs 2 or more rows, each within
-    ``_PROBE_TOL`` steps of the uniform grid from the first probe to the last."""
-    with open(path, newline="") as fh:
+    """Read a spectrum CSV back.  Every row must hold as many fields as the
+    header, and ``probe_mhz`` needs 2 or more rows, each within ``_PROBE_TOL``
+    steps of the uniform grid from the first probe to the last."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [""])  # an empty file has an unrecognised header
-        rows = [[float(v) for v in row] for row in reader if row]
-    if header[0] != "probe_mhz" or (len(header) - 1) % 5 != 0:
-        raise ValueError(f"unrecognised spectrum CSV header: {header[:6]}...")
+        if header[0] != "probe_mhz" or (len(header) - 1) % 5 != 0:
+            raise ValueError(f"unrecognised spectrum CSV header: {header[:6]}...")
+        rows = []
+        for row in filter(None, reader):  # blank lines skipped
+            if len(row) != len(header):
+                raise ValueError(f"spectrum CSV line {reader.line_num} holds {len(row)} "
+                                 f"fields, its header {len(header)}")
+            rows.append([float(v) for v in row])
     if len(rows) < 2:
         raise ValueError(f"probe_mhz must hold at least 2 rows, got {len(rows)}")
     labels = tuple(h[: -len("_re")] for h in header[1::5])

@@ -1,4 +1,5 @@
 import copy
+import csv
 import inspect
 import io
 import itertools
@@ -894,6 +895,75 @@ def test_spectrum_and_scan2d_never_import_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _under_the_c_locale(*argv):
+    """``antires *argv`` in a fresh interpreter whose locale encoding is ASCII."""
+    src = os.path.dirname(os.path.dirname(antires.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    return subprocess.run([sys.executable, "-m", "antires.cli", *argv], capture_output=True,
+                          env=env, timeout=120)
+
+
+def test_non_ascii_labels_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
+    network = {
+        "modes": [
+            {"label": "κ-cavity", "kind": "resonator", "frequency_mhz": 0.0, "decay_mhz": 1.5},
+            {"label": "atom", "kind": "emitter", "frequency_mhz": -3.0, "decay_mhz": 3.0},
+        ],
+        "couplings": [{"a": "κ-cavity", "b": "atom", "g_mhz": 16.0}],
+        "drive": [{"label": "κ-cavity", "re": 1.0, "im": 0.0}],
+    }
+    net = tmp_path / "net.json"
+    net.write_bytes(json.dumps(network, ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "run"
+    proc = _under_the_c_locale("spectrum", "--out", str(out), "--config",
+                               write_config(tmp_path, {"network": str(net),
+                                                       "grid": {"points": 201}}))
+    assert proc.returncode == 0, proc.stderr
+    header = (out / "spectrum.csv").read_bytes().split(b"\r\n")[0]
+    assert header.startswith(b"probe_mhz,\xce\xba-cavity_re,\xce\xba-cavity_im,")
+    # the config file is read as UTF-8 too: its unknown key is named, not undecodable
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes('{"κ": 1}'.encode("utf-8"))
+    proc = _under_the_c_locale("spectrum", "--out", str(out), "--config", str(cfg))
+    assert proc.returncode == 2
+    assert b"unknown config keys" in proc.stderr
+
+
+def _rerendered(raw):
+    """``raw``'s header line, then every row re-joined from its parsed cells: a
+    cell that reads as a float as ``'%.17g'`` of it, any other as written."""
+    head, _, body = raw.partition(b"\r\n")
+    lines = []
+    for row in csv.reader(io.StringIO(body.decode("utf-8"), newline="")):
+        cells = []
+        for cell in row:
+            try:
+                cells.append("%.17g" % float(cell))
+            except ValueError:
+                cells.append(cell)
+        lines.append(",".join(cells) + "\r\n")
+    return head + b"\r\n" + "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("command, options", [
+    *[(command, None) for command in DEFAULTS],
+    pytest.param("heterodyne-demo", {"probe_points": []}, id="heterodyne-demo-no-points"),
+])
+def test_every_cli_csv_is_its_own_17_digit_rerendering(tmp_path, command, options):
+    argv = [command, "--out", str(tmp_path / "run")]
+    if options is not None:
+        argv += ["--config", write_config(tmp_path, options)]
+    assert run_cli(*argv)[0] == 0
+    paths = sorted((tmp_path / "run").glob("*.csv"))
+    assert paths or command in ("characterize", "oracle-check")
+    for path in paths:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\r\n") and raw == _rerendered(raw), path.name
+    if options is not None:  # no points: a table of no columns, its header alone
+        assert (tmp_path / "run" / "heterodyne_points.csv").read_bytes().count(b"\r\n") == 1
 
 
 def test_console_script_entry_point():

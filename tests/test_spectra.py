@@ -702,6 +702,19 @@ def test_spectrum_csv_reader_refuses_a_probe_column_off_its_grid(tmp_path, probe
         read_spectrum_csv(_one_channel_csv(tmp_path / "spec.csv", probes))
 
 
+@pytest.mark.parametrize("bad_row", [
+    pytest.param("0.5,1,0", id="short"),
+    pytest.param("0.5,1,0,1,1,0,7", id="long"),
+])
+def test_spectrum_csv_reader_refuses_a_row_unlike_its_header(tmp_path, bad_row):
+    path = _one_channel_csv(tmp_path / "spec.csv", [0.0, 0.5, 1.0])
+    lines = path.read_text().split("\n")
+    lines[2] = bad_row  # the second data row, line 3 of the file
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="line 3 holds"):
+        read_spectrum_csv(path)
+
+
 def test_spectrum_csv_reader_refuses_an_empty_file(tmp_path):
     path = tmp_path / "spec.csv"
     path.write_text("")
