@@ -42,6 +42,12 @@ c + 2 with D >= 0 are stored; time grows as c^4 and memory as c^3.  On a
 2-core VM a pair solve takes about 8 ms with a 3.7 MiB tracemalloc peak
 at c = 20, and 55 ms with 25 MiB at the largest allowed cutoff, 40.
 
+Cutoff choice: the population ``P(n = c)`` of a resonator's top level at
+cutoff ``c`` measures what the truncation drops.  :func:`lindblad_steady_state`
+solves the pair at its starting cutoff and keeps that state once the tail
+``c P(n = c) / <n>`` is below a tolerance (1e-4); otherwise it solves once
+more at ``ceil(1.5 c)``, up to a largest cutoff (40).
+
 Size guard: before any state is listed, the block sizes are counted from
 each mode's excitation histogram.  A network whose largest block would be
 over :data:`MAX_BLOCK_SIDE` entries a side (a 64 MiB dense block), or
@@ -58,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Mode, ModeNetwork, _count, _real, steady_state_batch
+from .network import Mode, ModeNetwork, _count, _real, steady_state
 
 # Largest density-matrix block the solver accepts, in entries a side: one
 # dense complex block of 2048 x 2048 is 64 MiB.  The pair at cutoff 40 needs 162.
@@ -74,7 +80,7 @@ class DensityMatrixError(RuntimeError):
 
 
 class CutoffConvergenceError(RuntimeError):
-    """Photon-number cutoff escalation did not converge."""
+    """The photon tail was still above tolerance at the largest cutoff."""
 
 
 class GSquaredUndefinedError(ZeroDivisionError):
@@ -88,7 +94,8 @@ class JCParams:
     ``delta_pe`` / ``delta_pr`` are probe detunings from the emitter and the
     resonator in MHz; ``eta`` is the coherent drive amplitude on the
     resonator.  ``cutoff`` is the *starting* photon-number truncation;
-    solves escalate it automatically until the mean photon number is stable.
+    :func:`lindblad_steady_state` raises it 1.5-fold, rounded up, until the
+    top photon level holds a negligible share of the mean photon number.
     """
 
     gamma: float
@@ -124,8 +131,8 @@ class JCParams:
 class OracleResult:
     """Field and dipole moments of the exact steady state.
 
-    ``cutoff_delta`` is the relative change of the mean photon number in the
-    final cutoff escalation step -- the truncation-error estimate.
+    ``cutoff_delta`` is the photon tail ``c P(n = c) / <n>`` of the state
+    solved at ``cutoff_used = c`` -- the truncation-error estimate.
     """
 
     mean_field: complex
@@ -446,8 +453,10 @@ def steady_density_matrix(network: ModeNetwork, cutoff: int) -> np.ndarray:
     return rho
 
 
-def _moments(network: ModeNetwork, cutoff: int, mode: int) -> tuple[np.ndarray, float, float]:
-    """``<a_j>`` of every mode, and ``<n>`` and ``<n (n - 1)>`` of mode ``mode``."""
+def _moments(
+    network: ModeNetwork, cutoff: int, mode: int
+) -> tuple[np.ndarray, float, float, float]:
+    """``<a_j>`` of every mode; ``<n>``, ``<n (n - 1)>`` and ``P(n = cutoff)`` of mode ``mode``."""
     rho = steady_density_matrix(network, cutoff)
     counts, lower, _ = _ladders(tuple(m.kind for m in network.modes), cutoff)
     fields = np.empty(len(network), dtype=complex)
@@ -456,39 +465,40 @@ def _moments(network: ModeNetwork, cutoff: int, mode: int) -> tuple[np.ndarray, 
         fields[j] = np.sqrt(counts[ok, j]) @ rho[ok, lowered[ok]]
     pops = rho.diagonal().real
     n = counts[:, mode]
-    return fields, float(pops @ n), float(pops @ (n * (n - 1)))
+    top = float(pops[n == cutoff].sum())
+    return fields, float(pops @ n), float(pops @ (n * (n - 1))), top
 
 
 def lindblad_steady_state(
-    params: JCParams, rel_tol: float = 1e-3, max_cutoff: int = 40
+    params: JCParams, rel_tol: float = 1e-4, max_cutoff: int = 40
 ) -> OracleResult:
-    """Field moments with automatic photon-cutoff escalation.
+    """Field moments at a photon cutoff chosen from the state's own tail.
 
-    The cutoff is raised one photon at a time until the mean photon number
-    changes by less than ``rel_tol`` (relative); the converged step's finer
-    solve is returned.  Raises :class:`CutoffConvergenceError` if
-    ``max_cutoff`` is reached first and :class:`GSquaredUndefinedError` when
-    the converged state holds no photons, or so few that ``<n>^2`` underflows
-    (g2 has no meaning, or no float value, there).
+    Each rung solves once at cutoff ``c``, starting from ``params.cutoff``.
+    The population ``P(n = c)`` of the top photon level measures what the
+    truncation drops, so the rung is kept once the tail ``c P(n = c) / <n>``
+    is below ``rel_tol``; otherwise the next rung is at
+    ``min(ceil(1.5 c), max_cutoff)``.  Raises
+    :class:`CutoffConvergenceError` if the rung at ``max_cutoff`` still
+    fails, and :class:`GSquaredUndefinedError` when the kept state holds no
+    photons, or so few that ``<n>^2`` underflows (g2 has no meaning, or no
+    float value, there).
     """
     max_cutoff = _count("max_cutoff", max_cutoff, params.cutoff + 1)  # above the start
-    _real("rel_tol", rel_tol, 0.0, strict=True)  # <= 0 never converges; inf never escalates
+    _real("rel_tol", rel_tol, 0.0, strict=True)  # <= 0 never converges; inf checks nothing
     network = params.network
     cavity = network.index("cavity")
     cutoff = params.cutoff
-    fields, n, n2 = _moments(network, cutoff, cavity)
-    delta = math.inf
-    while cutoff < max_cutoff:
-        fields_hi, n_hi, n2_hi = _moments(network, cutoff + 1, cavity)
-        delta = abs(n_hi - n) / max(abs(n_hi), np.finfo(float).tiny)
-        fields, n, n2 = fields_hi, n_hi, n2_hi
-        cutoff += 1
-        if delta < rel_tol:
+    while True:
+        fields, n, n2, top = _moments(network, cutoff, cavity)
+        tail = cutoff * abs(top) / max(n, np.finfo(float).tiny)
+        if tail < rel_tol:
             break
-    else:
-        raise CutoffConvergenceError(
-            f"mean photon number still changing by {delta:.3e} (rel) at cutoff {max_cutoff}"
-        )
+        if cutoff == max_cutoff:
+            raise CutoffConvergenceError(
+                f"truncation tail c P(n = c) / <n> still {tail:.3e} at cutoff {max_cutoff}"
+            )
+        cutoff = min(math.ceil(1.5 * cutoff), max_cutoff)
     if n <= 0.0 or n * n == 0.0:  # n^2 underflows below about 1e-162 photons
         raise GSquaredUndefinedError(
             f"steady state holds {n:.3g} photons (eta = 0?), too few for g2; g2 is undefined"
@@ -499,7 +509,7 @@ def lindblad_steady_state(
         mean_photons=n,
         g2=n2 / (n * n),
         cutoff_used=cutoff,
-        cutoff_delta=delta,
+        cutoff_delta=tail,
     )
 
 
@@ -537,7 +547,7 @@ def linear_limit_check(
     """Deviation of the exact mean field from the linear coupled-mode amplitude.
 
     The linear prediction is the cavity amplitude that
-    :func:`~antires.network.steady_state_batch` gives for the same network,
+    :func:`~antires.network.steady_state` gives for the same network,
     driven with ``eta``, at probe 0 (its frequencies are already detunings
     from the probe).
     """
@@ -550,7 +560,7 @@ def linear_limit_check(
         run = replace(params, eta=ratio * params.kappa)
         exact = lindblad_steady_state(run).mean_field
         network = run.network
-        linear = steady_state_batch(network, [0.0])[0, network.index("cavity")]
+        linear = steady_state(network, 0.0).amplitudes[network.index("cavity")]
         devs.append(abs(exact - linear) / abs(linear))
     # judged from the strongest drive down, whatever the input order, with
     # slack for solver roundoff so equal-to-machine deviations still count

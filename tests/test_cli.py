@@ -481,16 +481,17 @@ def test_oracle_check_thresholds_that_cannot_be_met_exit_2_before_any_solve(
     assert not (out / "oracle_report.json").exists()
 
 
-def test_oracle_check_strong_drive_climbs_to_cutoff_38(tmp_path):
+def test_oracle_check_strong_drive_climbs_to_cutoff_40(tmp_path):
     # eta/kappa = 5 saturates the emitter: the g2 contrast check fails, and
-    # the antiresonance needs 38 photons before <n> settles
+    # the antiresonance's photon tail is cut short enough only at cutoff 40,
+    # the last rung of 4, 6, 9, 14, 21, 32, 40
     cfg = write_config(tmp_path, {"g2_eta_over_kappa": 5})
     out = tmp_path / "run"
     code, text = run_cli("oracle-check", "--config", cfg, "--out", str(out))
     assert code == 1
     assert text.strip().endswith("FAIL")
     anti = json.loads((out / "oracle_report.json").read_text())["g2"]["antiresonance"]
-    assert anti["cutoff_used"] == 38
+    assert anti["cutoff_used"] == 40
     assert anti["cutoff_delta"] < 1e-3
 
 

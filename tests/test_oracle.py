@@ -284,12 +284,61 @@ def test_cutoff_error_shrinks_monotonically():
     assert errs[-1] < 0.05 * errs[0]
 
 
-def test_cutoff_convergence_failure_raises():
+def _rungs(monkeypatch):
+    """Record the cutoff of every density-matrix solve the oracle makes."""
+    rungs = []
+    solve = oracle_module.steady_density_matrix
+
+    def recorded(network, cutoff):
+        rungs.append(cutoff)
+        return solve(network, cutoff)
+
+    monkeypatch.setattr(oracle_module, "steady_density_matrix", recorded)
+    return rungs
+
+
+def test_each_rung_is_one_solve_growing_by_half_up_to_max_cutoff(monkeypatch):
+    rungs = _rungs(monkeypatch)
+    # weak drive: the tail at the starting cutoff is already 1e-17
+    res = lindblad_steady_state(JCParams(delta_pe=0.0, delta_pr=0.0, eta=0.015, **REF))
+    assert rungs == [4]
+    assert res.cutoff_used == 4
+
+    rungs.clear()
+    # the tail is 8e-2 at cutoff 2 and 4e-4 at 3, and falls below 1e-4 at 5
+    res = lindblad_steady_state(
+        JCParams(delta_pe=0.0, delta_pr=0.0, eta=1.0, cutoff=2, **REF), max_cutoff=5
+    )
+    assert rungs == [2, 3, 5]
+    assert res.cutoff_used == 5
+    assert res.cutoff_delta < 1e-4
+
+
+def test_cutoff_convergence_failure_raises(monkeypatch):
+    rungs = _rungs(monkeypatch)
     strong = JCParams(delta_pe=0.0, delta_pr=0.0, eta=4.5, cutoff=2, **REF)
-    with pytest.raises(CutoffConvergenceError):
-        lindblad_steady_state(strong, rel_tol=1e-9, max_cutoff=5)
+    with pytest.raises(CutoffConvergenceError, match="tail .* at cutoff 5"):
+        lindblad_steady_state(strong, max_cutoff=5)
+    assert rungs == [2, 3, 5]
     with pytest.raises(ValueError):
         lindblad_steady_state(JCParams(cutoff=40, **REF), max_cutoff=40)
+
+
+@pytest.mark.parametrize("ratio", [3.0, 3.5])
+def test_strong_drive_moments_match_a_cutoff_40_solve(ratio):
+    # the worst errors the one-photon ladder (stop on a 1e-3 change of <n>)
+    # made against cutoff 40 over eta/kappa 0.3..3.5 and probes -20..20 MHz
+    worst_n, worst_a = 9.1e-4, 5.8e-4
+    lowering = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, 41.0)), 1))
+    for probe in (-20.0, -10.0, 0.0, 10.0, 20.0):
+        params = JCParams(delta_pe=probe, delta_pr=probe, eta=ratio * 1.5, **REF)
+        res = lindblad_steady_state(params)
+        assert res.cutoff_delta < 1e-4
+        rho = steady_density_matrix(params.network, 40)
+        n_ref = photon_number_from_diag(rho, 40)
+        a_ref = np.trace(rho @ lowering)
+        assert abs(res.mean_photons - n_ref) <= worst_n * n_ref
+        assert abs(res.mean_field - a_ref) <= worst_a * abs(a_ref)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, math.inf, "1e-3"])
@@ -355,7 +404,7 @@ def test_g2_regression_values():
     dip = lindblad_steady_state(
         JCParams(delta_pe=0.0, delta_pr=0.0, eta=eta, **REF)
     )
-    assert dip.cutoff_used == 5
+    assert dip.cutoff_used == 4
     assert dip.g2 == pytest.approx(713.5596202425027, rel=1e-6)
 
     split = math.sqrt(16.0**2 - ((3.0 - 1.5) / 2.0) ** 2)
