@@ -18,13 +18,13 @@ Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
 couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
 solves it for a *family* sharing one topology -- copies of ``network``, each
 averaged over members with their own frequency shifts and emitter coupling
-scales -- in one loop of chunks, each chunk's working set under 1 MiB.
-:func:`_solve` builds every chunk's systems, with one array across the chunk
-for each entry of ``M`` that differs between them.  One or two modes are
-solved by Gaussian elimination with partial pivoting written over those
-arrays, larger networks by one LAPACK solve per system.  A single
-:func:`steady_state` is :func:`_solve` on one system, or up to two modes the
-same elimination on numpy scalars; either way it gives a batch's bits.
+scales -- in chunks of (member, copy) units x probes, each chunk's working
+set under 1 MiB.  :func:`_solve` builds a chunk's entries of ``M`` by
+broadcasting.  One or two modes are solved by the adjugate, ``x = adj(M) @ b
+/ det(M)``, over those arrays, larger networks by one LAPACK solve per
+system.  A single :func:`steady_state` is :func:`_solve` on one system, or up
+to two modes the same adjugate on numpy scalars; either way it gives a
+batch's bits.
 """
 
 from __future__ import annotations
@@ -44,16 +44,13 @@ MODE_KINDS = ("emitter", "resonator")
 # Bound on the working set of one chunk of a family solve (see _system_bytes).
 _CHUNK_BYTES = 2**20
 
-# Networks of at most this many modes are solved by _eliminate over entry arrays,
+# Networks of at most this many modes are solved by _adjugate over entry arrays,
 # larger ones by one LAPACK call per system.  Up to two modes LAPACK's per-call
-# overhead is most of a solve, and a batch by elimination is about 3x faster.  A
-# single steady_state must give a batch's bits, so it runs the same elimination
-# on numpy scalars, one ufunc call per product: 5-11 us a call, against 13 us at
-# one mode and 40 at two for _solve on one system.  Elimination written for n
-# modes was measured too (2-core Xeon): in batches it gained up to five modes and
-# lost from seven, but a single three-mode solve took about twice one LAPACK call
-# (33 vs 17 us), so it is written out for one and two modes only.
-_ELIMINATION_MAX_MODES = 2
+# overhead is most of a solve.  Elimination written for n modes gained in batches
+# up to five modes and lost from seven, but a single three-mode solve took twice
+# one LAPACK call (2-core Xeon), so the closed form stops at two.
+_ADJUGATE_MAX_MODES = 2
+_TINY = np.finfo(float).tiny  # a smaller |det(M)| is refused
 
 
 class InvalidNetworkError(ValueError):
@@ -61,9 +58,9 @@ class InvalidNetworkError(ValueError):
 
 
 class SingularResponseError(RuntimeError):
-    """Raised when a steady-state solve has no finite solution: the matrix is
+    """Raised when a steady-state solve has no trustworthy solution: the matrix is
     singular, or so nearly so (a mode with a subnormal decay, probed at its own
-    frequency) that the solution overflows."""
+    frequency) that the solution or ``det(M)`` overflows or ``det(M)`` is subnormal."""
 
 
 def _finite_real(value: object) -> bool:
@@ -282,29 +279,28 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
     The one-member, one-probe case of :func:`steady_state_family`: its
-    :func:`_solve` on one system, except that up to ``_ELIMINATION_MAX_MODES``
-    modes it runs the same elimination on numpy scalars, for the same bits.
+    :func:`_solve` on one system, except that up to ``_ADJUGATE_MAX_MODES``
+    modes it runs the same adjugate on numpy scalars, for the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
     probe = float(_real("probe", probe))
     n = len(network)
     a = network.matrix
-    if n <= _ELIMINATION_MAX_MODES:
-        # the diagonal entries are numpy scalars, so each division _eliminate
-        # makes meets one; -complex(g) is the family's (-g, -0.0)
-        b = network.drive.tolist()
+    if n <= _ADJUGATE_MAX_MODES:
+        # numpy scalars, as the family's shared entries are: each division
+        # _adjugate makes meets one, and np.multiply takes them without a cast
+        b = network.drive
         if n == 1:
             rows = [[probe - a[0, 0], b[0]]]
         else:
-            g = -complex(a[0, 1])
-            rows = [[probe - a[0, 0], g, b[0]], [g, probe - a[1, 1], b[1]]]
-        with np.errstate(all="ignore"):  # an overflowing solve is refused below
-            amps = np.array(_eliminate(rows))
+            rows = [[probe - a[0, 0], -a[0, 1], b[0]], [-a[1, 0], probe - a[1, 1], b[1]]]
+        with np.errstate(all="ignore"):  # a singular solve is refused below
+            det, x = _adjugate(rows)
+        if not (_TINY <= abs(det) < math.inf and all(map(cmath.isfinite, x))):
+            raise SingularResponseError(f"singular response matrix at probe={probe}")
+        amps = np.array(x)
     else:
-        amps = _solve(network, np.zeros((1, n)), np.ones(1), np.zeros(1, dtype=int),
-                      np.array([probe]))[0]
-    if not all(map(cmath.isfinite, amps.tolist())):  # an overflowing solve does not raise
-        raise SingularResponseError(f"singular response matrix at probe={probe}")
+        amps = _solve(network, np.zeros((1, n)), np.ones(1), np.array([probe]), None)[0, 0]
     return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)
 
 
@@ -319,11 +315,12 @@ def steady_state_family(
 
     Member ``m`` of copy ``g`` shifts every mode frequency by ``freq_shifts[g, m]``
     (shape ``(G, M, n_modes)``) and scales every coupling touching an emitter
-    by ``coupling_scale[g, m]`` (shape ``(G, M)``).  All systems are solved
-    member-major in chunks of at most ``_CHUNK_BYTES``, which may end part-way
-    through a member.  Member 0 is assigned and the rest added in order, then
-    divided by ``M``: with ``M = 1`` each result is its system's own solution,
-    bit for bit, and a mean equals averaging the members one by one.
+    by ``coupling_scale[g, m]`` (shape ``(G, M)``).  Each (member, copy) network
+    is a unit, and a chunk is a block of units, member-major, times probes, of at
+    most ``_CHUNK_BYTES``: whole units while one unit's probes fit, else part of
+    one unit's.  Member 0 is assigned and the rest added in order, then divided
+    by ``M``: with ``M = 1`` each result is its system's own solution, bit for
+    bit, and a mean equals averaging the members one by one.
     """
     network.driven_label()
     shifts = np.asarray(freq_shifts, dtype=float)
@@ -339,31 +336,33 @@ def steady_state_family(
         )
     copies, members = scales.shape
     _count("family members", members, 1)
-    # one row per unit, a (member, copy) network, member-major
+    out = np.empty((copies, probes.size, n), dtype=complex)
+    if not out.size:
+        return out
+    # one row per unit, member-major: unit u is member u // copies of copy u % copies
     shifts = np.moveaxis(shifts, 1, 0).reshape(-1, n)
     scales = scales.T.ravel()
-
-    out = np.empty((copies, probes.size, n), dtype=complex)
-    sums = out.reshape(-1, n)  # one row per (copy, probe) system of a member
-    per_member = len(sums)
-    total = members * per_member
     step = max(1, _CHUNK_BYTES // _system_bytes(n))
-    for lo in range(0, total, step):  # system s: unit s // P, probe s % P
-        hi = min(lo + step, total)
-        unit, probe = np.divmod(np.arange(lo, hi), probes.size)
-        units = slice(unit[0], unit[-1] + 1)
-        x = _solve(network, shifts[units], scales[units], unit - unit[0], probes.take(probe))
-        if not np.isfinite(x).all():  # a near-singular solve overflows without raising
-            bad = probes[probe[np.isfinite(x).all(axis=1).argmin()]]
-            raise SingularResponseError(f"singular response matrix at probe={bad}")
-        for m in range(lo // per_member, (hi - 1) // per_member + 1):
-            start = m * per_member
-            first, last = max(lo, start), min(hi, start + per_member)
-            if m:
-                sums[first - start:last - start] += x[first - lo:last - lo]
-            else:
-                sums[first - start:last - start] = x[first - lo:last - lo]
-        del x  # freed before the next chunk is built
+    width = min(step, probes.size)  # whole units while a unit's probes fit, else part of one
+    units = min(max(1, step // probes.size), len(scales))
+    # one set of work arrays for every chunk: arrays allocated and freed chunk by
+    # chunk were handed back to the system and faulted in again, which cost about
+    # as much as the solve (12k page faults a 512 x 1001 family)
+    work = (np.empty((2 * n - 1, units, width), dtype=complex),  # M's diagonals and det(M)
+            np.empty((units, width, n), dtype=complex)) if n <= _ADJUGATE_MAX_MODES else None
+    for lo in range(0, len(scales), units):
+        hi = min(lo + units, len(scales))
+        for first in range(0, probes.size, width):
+            part = slice(first, first + width)
+            x = _solve(network, shifts[lo:hi], scales[lo:hi], probes[part], work)
+            for m in range(lo // copies, (hi - 1) // copies + 1):
+                start, stop = max(lo, m * copies), min(hi, (m + 1) * copies)
+                sums = out[start - m * copies:stop - m * copies, part]
+                if m:
+                    sums += x[start - lo:stop - lo]
+                else:
+                    sums[...] = x[start - lo:stop - lo]
+            del x  # a LAPACK solution is freed before the next chunk is built
     if members > 1:
         out /= members
     return out
@@ -371,85 +370,92 @@ def steady_state_family(
 
 def _system_bytes(n: int) -> int:
     """Bytes of one system of ``n`` modes in a family chunk, which sizes the chunks."""
-    if n <= _ELIMINATION_MAX_MODES:
-        # [M | drive]'s entries four times over: the entries, their pivoted copies,
-        # the products and the solution; a chunk at n = 2 peaks near 260 bytes a
-        # system.  The slack keeps chunks small enough that the heap they free is
-        # reused: at half this count glibc gave it back to the system after every
-        # chunk, and faulting it in again cost more than the solve
-        return 64 * n * (n + 1)
+    if n <= _ADJUGATE_MAX_MODES:
+        # work arrays of 16 * (3n - 1), then |det|, probes or (units, 1) columns: a
+        # chunk's traced peak is 107-129 bytes at two modes, 58-65 at one
+        return 128
     return 16 * n * (n + 1)  # the stacked matrix and its solution
 
 
-def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, unit: np.ndarray,
-           probes: np.ndarray) -> np.ndarray:
-    """Solve ``(probes[s]*I - a[unit[s]]) @ x = drive`` for every system ``s``, where
+def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, probes: np.ndarray,
+           work: tuple | None) -> np.ndarray:
+    """Solutions of ``(p*I - a[u]) @ x = drive``, shape ``(units, probes, n)``, where
     ``a[u]`` is ``network.matrix`` with its diagonal shifted by ``shifts[u]`` and every
-    coupling that touches an emitter scaled by ``scales[u]``.  Those entries of ``M``
-    are built once, one array over the systems, and one at a time, so a chunk holds
-    at most one beside its stacked matrices; the rest are the shared ``-A[j, k]``.
-    A function of its own so a chunk's arrays are freed before the caller folds its
-    solutions into its result.
-    """
+    coupling that touches an emitter scaled by ``scales[u]``.  Those entries are built
+    by broadcasting: a diagonal is a ``(units, probes)`` array, a scaled coupling a
+    ``(units, 1)`` column.  Up to two modes they are solved in ``work``, arrays that
+    every chunk reuses: the diagonals and ``det(M)`` at two modes, mode-major, and
+    the solutions, which the result views.  A system with no trustworthy solution
+    is refused naming its probe."""
     a = network.matrix
     n = len(a)
     emitter = network.emitter_mask.tolist()
+    diagonal = probes.astype(complex)  # the same bits as the cast a float - complex makes, faster
 
-    def varying():  # M is symmetric: one array serves both (j, k) and (k, j)
+    def varying(diagonals):  # M is symmetric: one array serves both (j, k) and (k, j)
         for j in range(n):
-            yield j, j, probes - (a[j, j] + shifts[:, j]).take(unit)
+            yield j, j, np.subtract(diagonal, (a[j, j] + shifts[:, j])[:, None], out=diagonals[j])
             for k in range(j + 1, n):
                 if emitter[j] or emitter[k]:
-                    yield j, k, np.negative(a[j, k] * scales).take(unit)
+                    yield j, k, (-a[j, k] * scales)[:, None]
 
-    if n <= _ELIMINATION_MAX_MODES:
+    if n <= _ADJUGATE_MAX_MODES:
+        entries, x = work[0][:, :len(scales), :probes.size], work[1][:len(scales), :probes.size]
         rows = [[-a[j, k] for k in range(n)] + [network.drive[j]] for j in range(n)]
-        for j, k, entry in varying():
+        for j, k, entry in varying(entries):
             rows[j][k] = rows[k][j] = entry
-        with np.errstate(all="ignore"):  # a solution that overflows is refused by the caller
-            return np.stack(_eliminate(rows), axis=-1)
-    ms = np.empty((unit.size, n, n), dtype=complex)
-    ms[:] = -a
-    for j, k, entry in varying():
-        ms[:, j, k] = ms[:, k, j] = entry
-    rhs = np.broadcast_to(network.drive, ms.shape[:-1])[..., None]
-    try:
-        return np.linalg.solve(ms, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularResponseError("singular response matrix in family solve") from exc
+        with np.errstate(all="ignore"):  # a singular system is refused below
+            det, _ = _adjugate(rows, entries[-1], *x.transpose(2, 0, 1))
+        parts = np.abs(det.view(float))  # |re| and |im|: cheaper than |det| to test
+        if not (parts.min() >= _TINY and parts.max() < math.inf):  # a NaN fails both
+            size = np.abs(det)
+            x[~((size >= _TINY) & (size < math.inf))] = np.nan
+    else:
+        ms = np.empty((len(scales), probes.size, n, n), dtype=complex)
+        ms[:] = -a
+        for j, k, entry in varying([ms[..., j, j] for j in range(n)]):  # diagonals in place
+            if j != k:
+                ms[..., j, k] = ms[..., k, j] = entry
+        rhs = np.broadcast_to(network.drive, ms.shape[:-1])[..., None]
+        try:
+            x = np.linalg.solve(ms, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularResponseError("singular response matrix in family solve") from exc
+    parts = x.view(float)  # a near-singular solve overflows without raising
+    if not (-math.inf < parts.min() and parts.max() < math.inf):  # a NaN fails both
+        bad = probes[np.isfinite(x).all(axis=-1).argmin() % probes.size]
+        raise SingularResponseError(f"singular response matrix at probe={bad}")
+    return x
 
 
-def _eliminate(rows: list) -> list:
-    """Solve ``M @ x = b`` for one or two modes by Gaussian elimination with partial
-    pivoting, where ``rows[i]`` is row ``i`` of ``[M | b]``: each entry one array
-    over many systems or a scalar.
+def _adjugate(rows: list, *out: np.ndarray) -> tuple:
+    """``det(M)`` and the solution of ``M @ x = b`` for one or two modes as ``adj(M)
+    @ b / det(M)``, forward stable at 2x2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 1.10.1).  ``rows[i]`` is row ``i``
+    of ``[M | b]``, each entry one array over many systems, written into ``out``
+    (``det``, then the solutions), or a numpy scalar, with no ``out`` (an ``out=None``
+    doubles the cost of a ufunc call on scalars).
 
-    The pivot is the larger ``|re| + |im|``, row 0 on a tie.  Every product goes
-    through ``np.multiply``, whose scalar call rounds as its array loop does (a
-    scalar ``*`` does not: that loop fuses multiply and add), so a system solved
-    alone gives the bits it gets in a batch.  numpy's scalar ``/`` and ``-`` round
-    as its loops do; Python's complex division does not, so every division must
-    meet an array or a numpy scalar.
+    Every product goes through ``np.multiply``, whose scalar call rounds as its
+    array loop does (a scalar ``*`` does not: that loop fuses multiply and add), so
+    a system solved alone gives the bits it gets in a batch.  numpy's scalar ``/``
+    and ``-`` round as its loops do; Python's complex division does not, so every
+    division must meet an array or a numpy scalar.
     """
+    into = [{"out": array} for array in out] or [{}] * 3
     if len(rows) == 1:
         ((m, b),) = rows
-        return [b / m]
-    upper, lower = rows
-    swap = _weight(lower[0]) > _weight(upper[0])
-    if isinstance(swap, np.ndarray):
-        upper, lower = ([np.where(swap, b, a) for a, b in zip(upper, lower)],
-                        [np.where(swap, a, b) for a, b in zip(upper, lower)])
-    elif swap:
-        upper, lower = lower, upper
-    (p, q, c), (r, s, d) = upper, lower
-    factor = r / p
-    x1 = (d - np.multiply(factor, c)) / (s - np.multiply(factor, q))
-    return [(c - np.multiply(q, x1)) / p, x1]
-
-
-def _weight(z):
-    """``|re| + |im|``: the size by which a pivot is chosen, as LAPACK's ``izamax``."""
-    return abs(z.real) + abs(z.imag)
+        return m, [np.divide(b, m, **into[1])]
+    (p, q, c), (r, s, d) = rows
+    det = np.multiply(p, s, **into[0])
+    det -= np.multiply(q, r)
+    first = np.multiply(s, c, **into[1])
+    first -= np.multiply(q, d)
+    first /= det
+    second = np.multiply(p, d, **into[2])
+    second -= np.multiply(r, c)
+    second /= det
+    return det, [first, second]
 
 
 def steady_state_batch(network: ModeNetwork, probes: np.ndarray) -> np.ndarray:

@@ -10,14 +10,14 @@ sorted keys, a 2-space indent and a trailing newline.
 The float cells are formatted in numpy, a block of rows at a time, each
 block's scratch bounded by ``_BLOCK_BYTES`` (1 MiB) whatever the size of the
 table, and the block's bytes written as one.  A finite ``x`` with
-``1e-6 < |x| < 1e17`` has a decimal exponent ``e`` in [-6, 16], so
-``10**(16 - e)`` is an exact double and Dekker's error-free product (T. J.
-Dekker, Numer. Math. 18 (1971) 224) gives ``|x| * 10**(16 - e)`` exactly as
-``p + err``.  Rounding that sum half-even gives the 17-digit significand of
-the correctly rounded conversion that ``'%.17g'`` makes (D. M. Gay, AT&T
-Numerical Analysis Manuscript 90-10, 1990).  Every other float -- zeros,
-infinities, NaNs, subnormals and the magnitudes outside that window -- is
-formatted by ``'%.17g'`` itself, one value at a time.
+``1e-8 < |x| < 1e17`` has a decimal exponent ``e`` in [-8, 16], and Dekker's
+error-free product (T. J. Dekker, Numer. Math. 18 (1971) 224) and Knuth's
+two-sum give ``|x| * 10**(16 - e)`` exactly as ``p + err + r`` (``_scaled``).
+Rounding that sum half-even gives the 17-digit significand of the correctly
+rounded conversion that ``'%.17g'`` makes (D. M. Gay, AT&T Numerical Analysis
+Manuscript 90-10, 1990).  Every other float -- zeros, infinities, NaNs,
+subnormals and the magnitudes outside that window -- is formatted by
+``'%.17g'`` itself, one value at a time.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ _FLOAT_WIDTH = 24
 _PAD = 0xFF
 
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double's significand into two halves
-_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 ... 10**22, each exact
+_POW10 = np.array([float(10**k) for k in range(25)])  # 10**0 ... 10**24, rounded
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
+_POW10_REST = np.array([float(10**k - int(p)) for k, p in enumerate(_POW10)])  # 0, 2**23, 2**24
 
 
 def _group_text() -> np.ndarray:
@@ -67,7 +68,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
 
     The rows are formatted and written a block at a time, each block's
     scratch under ``_BLOCK_BYTES``, so no table of Python values is built:
-    float cells as ``'%.17g'`` would write them (exact in numpy between 1e-6
+    float cells as ``'%.17g'`` would write them (exact in numpy between 1e-8
     and 1e17 in magnitude, by ``'%.17g'`` itself elsewhere), other cells with
     ``str``.
     """
@@ -106,7 +107,7 @@ def _csv_block(columns: list[np.ndarray]) -> bytes:
         x = np.empty((rows, len(floats)))
         for k, j in enumerate(floats):
             x[:, k] = columns[j]
-        exact = (np.abs(x) > 1e-6) & (np.abs(x) < 1e17)  # False for NaN
+        exact = (np.abs(x) > 1e-8) & (np.abs(x) < 1e17)  # False for NaN
         text = _float_text(np.where(exact, x, 1.0).ravel())
         canvas[:, floats, :_FLOAT_WIDTH] = text.reshape(rows, len(floats), _FLOAT_WIDTH)
         rest = np.nonzero(~exact)
@@ -126,7 +127,7 @@ def _put_text(cells: np.ndarray, rows: np.ndarray, texts: list[bytes]) -> None:
 
 
 def _float_text(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` for every ``v`` of ``x``, all with ``1e-6 < |v| < 1e17``:
+    """``'%.17g' % v`` for every ``v`` of ``x``, all with ``1e-8 < |v| < 1e17``:
     one ``_FLOAT_WIDTH`` row of uint8 each, padded with ``_PAD`` anywhere.
 
     The values are grouped by their decimal exponent, each group's texts
@@ -134,24 +135,31 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     """
     a = np.abs(x)
     # the decimal exponent e, from log10 and corrected where that is one off,
-    # until |x| * 10**(16 - e) = p + err lies in [1e16, 1e17)
-    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 16)
-    p, err = _scaled(a, e)
+    # until |x| * 10**(16 - e) = p + err + r lies in [1e16, 1e17).  p - bound is
+    # exact where small (p is an even integer); only a 0 sum with err leaves r to decide
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -8, 16)
+    p, err, r = _scaled(a, e)
     while True:
-        low = (p < 1e16) | ((p == 1e16) & (err < 0))
-        high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+        d = (p - 1e16) + err
+        low = (d < 0) | ((d == 0) & (r < 0))
+        d = (p - 1e17) + err
+        high = (d > 0) | ((d == 0) & (r >= 0))
         off = np.flatnonzero(low | high)
         if not off.size:
             break
         e[off] += high[off].astype(np.intp) - low[off]
-        p[off], err[off] = _scaled(a[off], e[off])
-    # p >= 2**53 is an even integer, so rounding p + err half-even adds err
-    # rounded half-even.  The sum never rounds up to 10**17: a double below a
-    # power of ten in the window lies at least half its ulp from it, which is
-    # more than half a 17th digit.
+        p[off], err[off], r[off] = _scaled(a[off], e[off])
+    # p >= 2**53 is an even integer, so rounding p + err + r half-even adds err
+    # rounded half-even, or where err is halfway and r is not 0, rounded r's way.
+    # The sum never rounds up to 10**17: half a 17th digit is 5e-18 of the value,
+    # and the double closest below a power of ten in the window lies 4.5e-17 below
+    # it (below 1e-7 and 1e-6, which are not doubles).
     digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    tie = np.flatnonzero(r)
+    tie = tie[err[tie] % 1 == 0.5]
+    digits[tie] = p[tie].astype(np.int64) + np.floor(err[tie]).astype(np.int64) + (r[tie] > 0)
 
-    order = np.argsort((e + 6).astype(np.int8), kind="stable")
+    order = np.argsort((e + 8).astype(np.int8), kind="stable")
     e, tail = e[order], digits[order]
     lead = tail // 10**16
     tail -= lead * 10**16
@@ -171,8 +179,8 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     full, bare = full.view(np.uint8), bare.view(np.uint8)
 
     text = np.full((len(x), _FLOAT_WIDTH), _PAD, dtype=np.uint8)
-    bounds = np.searchsorted(e, np.arange(-6, 18))
-    for exp, lo, hi in zip(range(-6, 17), bounds[:-1], bounds[1:]):
+    bounds = np.searchsorted(e, np.arange(-8, 18))
+    for exp, lo, hi in zip(range(-8, 17), bounds[:-1], bounds[1:]):
         if lo == hi:
             continue
         t, b = text[lo:hi], bare[lo:hi]
@@ -198,15 +206,21 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**(16 - e)`` as ``p + err`` exactly: Dekker's two-product."""
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a * 10**(16 - e)`` as ``p + err + r`` exactly: Dekker's two-product with the
+    double nearest ``10**(16 - e)``, then ``a`` times the power of two that double
+    misses by (0 to 10**22) added to ``err`` by two-sum, ``r`` its rounding error."""
     k = 16 - e
     s, s_hi, s_lo = _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
     p = a * s
     t = _SPLIT * a
     a_hi = t - (t - a)
     a_lo = a - a_hi
-    return p, ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    rest = a * _POW10_REST.take(k)
+    total = err + rest
+    back = total - err
+    return p, total, (err - (total - back)) + (rest - back)
 
 
 def write_json(payload: dict, path: str | Path) -> None:

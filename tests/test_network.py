@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,8 +209,9 @@ def test_batch_matches_loop_of_single_solves():
 @st.composite
 def _network_and_probes(draw):
     """A random 1-7-mode network and probes that include mode 0's frequency and
-    one far from it.  At two modes the first needs a row swap (``|g|`` beats
-    ``|re| + |im|`` of ``M[0, 0]``, the decay) and the second does not.
+    one far from it.  At two modes ``|g|`` beats ``|re| + |im|`` of ``M[0, 0]``
+    (the decay) at the first, so ``g**2`` outweighs the diagonal's product in
+    ``det(M)`` there, and not at the second.
 
     Hypothesis picks the structure (mode count, kinds, which couplings and drive
     amplitudes are zero); the values come from a seeded generator, so products
@@ -240,13 +242,13 @@ def _network_and_probes(draw):
 @settings(max_examples=150, deadline=None)
 @given(_network_and_probes())
 def test_single_solve_bit_equals_its_batch_row(case):
-    # elimination up to two modes, LAPACK above: either way one system alone and
-    # in a batch chunk (pivoted rows next to unpivoted ones) give the same bits
+    # the adjugate up to two modes, LAPACK above: either way one system alone, on
+    # numpy scalars, and in a batch chunk of (units, probes) arrays give the same bits
     net, probes = case
     if len(net) == 2:
-        pivot_rows = [abs(net.couplings[0, 1]) > abs(p - net.frequencies[0]) + net.decays[0]
-                      for p in probes[:2]]
-        assert pivot_rows == [True, False]
+        coupling_wins = [abs(net.couplings[0, 1]) > abs(p - net.frequencies[0]) + net.decays[0]
+                         for p in probes[:2]]
+        assert coupling_wins == [True, False]
     batch = steady_state_batch(net, probes)
     for k, probe in enumerate(probes):
         assert steady_state(net, probe).amplitudes.tobytes() == batch[k].tobytes()
@@ -256,7 +258,7 @@ def test_single_solve_bit_equals_its_batch_row(case):
 def test_two_mode_solve_is_accurate_through_the_exceptional_point(drive):
     # equal frequencies and g = |gamma - kappa|/2 merge the two poles (an
     # exceptional point), where a solve through the eigenbasis loses digits;
-    # elimination must match LAPACK there and beside it
+    # the adjugate must match LAPACK there and beside it
     gamma, kappa = 3.0, 1.5
     g_ep = abs(gamma - kappa) / 2
     probes = np.linspace(-10.0, 10.0, 4001)
@@ -276,11 +278,96 @@ def test_two_mode_solve_is_accurate_through_the_exceptional_point(drive):
         assert (residual / scale).max() <= 1e-15
 
 
+# Exact complex arithmetic on (re, im) pairs of Fractions: the reference below
+# rounds nothing, whatever the magnitudes.
+
+def _exact(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _div(a, b):
+    size = b[0] ** 2 + b[1] ** 2
+    return (a[0] * b[0] + a[1] * b[1]) / size, (a[1] * b[0] - a[0] * b[1]) / size
+
+
+def _size(z):
+    """``|re| + |im|``: a norm on the complex numbers, within sqrt(2) of the modulus."""
+    return abs(z[0]) + abs(z[1])
+
+
+@st.composite
+def _two_mode_systems(draw):
+    """A two-mode network whose frequencies, decays and coupling lie between 1e-100
+    and 1e100 MHz -- near one scale or each at its own -- and probes on its poles'
+    real parts, at the emitter's frequency and a few ulps and a decay beside them.
+    One time in three the modes share a frequency and ``g = |gamma - kappa|/2``:
+    the exceptional point, where the two poles merge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.floats(-97.0, 97.0))
+    own = draw(st.booleans())
+
+    def size():
+        return 10.0 ** (rng.uniform(-100.0, 100.0) if own else base + rng.uniform(-3.0, 3.0))
+
+    kappa, gamma, g = size(), size(), size()
+    f_cavity, f_atom = rng.choice((-1.0, 1.0), 2) * [size(), size()]
+    if draw(st.integers(0, 2)) == 0:
+        f_cavity, g = f_atom, abs(gamma - kappa) / 2
+    net = ModeNetwork((Mode("cavity", "resonator", float(f_cavity), kappa),
+                       Mode("atom", "emitter", float(f_atom), gamma)),
+                      np.array([[0.0, g], [g, 0.0]]),
+                      draw(st.sampled_from([[1.0, 0.0j], [0.0, 1.0], [0.3 - 2.0j, 1.5 + 0.25j]])))
+    centres = [*np.linalg.eigvals(net.matrix).real, f_atom]
+    probes = [np.nextafter(c, side) for c in centres for side in (-np.inf, np.inf)]
+    probes += [c + d for c in centres for d in (-gamma, 0.0, gamma)]
+    return net, np.array(probes, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_mode_systems())
+def test_two_mode_solve_is_within_its_error_bound_of_the_exact_solution(case):
+    # Cramer's rule is forward stable for 2x2 systems (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., 2002, section 1.10.1).  The
+    # rounding of M's diagonal, six products, three differences and two
+    # divisions, each within a few units of eps/2 of its exact value, perturb
+    # x by at most about 15 (eps/2) kappa |x| in the modulus, so by b = 16 eps
+    # kappa in the |re| + |im| norm, where kappa = ||M|| ||M^-1|| is M's
+    # infinity-norm condition number.  That first-order bound holds as
+    # b / (1 - b) while b < 1/2; beyond it the rounded M may be singular and
+    # there is no bound, only the bits to compare
+    net, probes = case
+    a, b = net.matrix, [_exact(z) for z in net.drive]
+    batch = steady_state_batch(net, probes)
+    for probe, got in zip(probes, batch):
+        assert steady_state(net, probe).amplitudes.tobytes() == got.tobytes()
+        (p, q), (r, s) = [[_sub((Fraction(probe) if j == k else 0, 0), _exact(a[j, k]))
+                           for k in range(2)] for j in range(2)]
+        det = _sub(_mul(p, s), _mul(q, r))
+        inverse = [[_div(s, det), _div(_sub((0, 0), q), det)],
+                   [_div(_sub((0, 0), r), det), _div(p, det)]]
+        x = [_div(_sub(_mul(s, b[0]), _mul(q, b[1])), det),
+             _div(_sub(_mul(p, b[1]), _mul(r, b[0])), det)]
+        kappa = (max(_size(p) + _size(q), _size(r) + _size(s))
+                 * max(_size(row[0]) + _size(row[1]) for row in inverse))
+        bound = 16 * Fraction(np.finfo(float).eps) * kappa
+        if bound < Fraction(1, 2):
+            error = max(_size(_sub(_exact(z), want)) for z, want in zip(got, x))
+            assert error <= bound / (1 - bound) * max(map(_size, x))
+
+
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_solve_raises_naming_the_probe():
     # a decay of 5e-324 MHz passes validation, but at the mode's own frequency
-    # the response overflows: elimination (one mode) and LAPACK (three) refuse it,
-    # single solve or batch, without a numpy warning
+    # the response overflows: the adjugate (one mode) and LAPACK (three) refuse
+    # it, single solve or batch, without a numpy warning
     one = ModeNetwork((Mode("c", "resonator", 0.0, 5e-324),), np.zeros((1, 1)),
                       np.array([1.0 + 0j]))
     three = ModeNetwork(
@@ -292,12 +379,26 @@ def test_an_overflowing_solve_raises_naming_the_probe():
             steady_state(net, 0.0)
         with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
             steady_state_batch(net, [-1.0, 0.0, 1.0])
+    # two modes: couplings of 1e200 overflow g**2 in det(M) at every probe, and
+    # decays of 1e-170 underflow the diagonal's product on resonance, so det(M)
+    # is -inf and the adjugate alone would give a silent 0.  Decays of 1e-154
+    # and no coupling leave det(M) = -1e-308, subnormal, which divides to a
+    # finite but inexact solution: refused too
+    for g, decay in ((1e200, 1e-170), (1.01e200, 3e-170), (0.0, 1e-154)):
+        pair = ModeNetwork((Mode("c", "resonator", 0.0, decay), Mode("a", "emitter", 0.0, decay)),
+                           np.array([[0.0, g], [g, 0.0]]), np.array([1.0, 0.5j]))
+        with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
+            steady_state(pair, 0.0)
+        with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
+            steady_state_batch(pair, [0.0, 1.0])
+        with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
+            steady_state_family(pair, np.zeros((2, 3, 2)), np.ones((2, 3)), [0.0])
 
 
 @pytest.mark.parametrize("build", [two_mode_network, five_node_demo])
 @pytest.mark.parametrize("probe", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_probe_is_refused_naming_it(build, probe):
-    # one mode pair by elimination, five nodes by LAPACK: refused before either
+    # one mode pair by the adjugate, five nodes by LAPACK: refused before either
     # solve, not reported as a singular matrix after numpy warns
     net = build()
     with warnings.catch_warnings():
@@ -372,12 +473,16 @@ def _family_inputs(net, copies, members, seed=11):
 
 
 def _member_mean_by_hand(net, shifts, scales, probes):
-    """Per-copy means of per-member batch solves, members added in order."""
-    return np.array([
-        np.mean([steady_state_batch(_perturbed_by_hand(net, s, c), probes)
-                 for s, c in zip(copy_shifts, copy_scales)], axis=0)
-        for copy_shifts, copy_scales in zip(shifts, scales)
-    ])
+    """Per-copy means of per-member batch solves, members added in order (np.mean
+    sums a contiguous member axis pairwise)."""
+    means = []
+    for copy_shifts, copy_scales in zip(shifts, scales):
+        total = 0
+        for k, (s, c) in enumerate(zip(copy_shifts, copy_scales)):
+            solved = steady_state_batch(_perturbed_by_hand(net, s, c), probes)
+            total = solved if k == 0 else total + solved
+        means.append(total / len(copy_scales))
+    return np.array(means)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_NETWORKS))
@@ -398,22 +503,28 @@ def test_family_is_bit_identical_to_per_member_networks(name):
     np.testing.assert_array_equal(mean, np.mean(family, axis=0, keepdims=True))
 
 
-@pytest.mark.parametrize("name", ["five-node-one-emitter", "four-node-two-emitters"])
+@pytest.mark.parametrize("name", ["one-mode", "two-mode", "five-node-one-emitter",
+                                  "four-node-two-emitters"])
 def test_family_chunking_does_not_change_results(monkeypatch, name):
     net = FAMILY_NETWORKS[name]()
     n = len(net)
-    probes = np.linspace(-30.0, 30.0, 41)
-    shifts, scales = _family_inputs(net, 2, 3)
-    reference = _member_mean_by_hand(net, shifts, scales, probes)
-    np.testing.assert_array_equal(steady_state_family(net, shifts, scales, probes), reference)
-    # a member holds 2*41 = 82 systems; chunks of 7 end inside most members,
-    # chunks of 100 span two
-    for systems in (7, 100):
-        monkeypatch.setattr(network_module, "_CHUNK_BYTES",
-                            systems * network_module._system_bytes(n))
-        np.testing.assert_array_equal(
-            steady_state_family(net, shifts, scales, probes), reference
-        )
+    default = network_module._CHUNK_BYTES // network_module._system_bytes(n)
+    # 41 probes, 2 copies: a unit holds 41 systems and a member two units; chunks
+    # of 7 and 40 split a unit's probes, 41 is one unit, 100 two units (one
+    # member), 125 three units, which end part-way through a member.  One probe,
+    # 3 copies, the Stark scan's shape: chunks of 4 and 7 units end part-way
+    # through most members
+    for probes, copies, members, chunks in ((np.linspace(-30.0, 30.0, 41), 2, 3,
+                                             (7, 40, 41, 100, 125)),
+                                            (np.array([0.5]), 3, 5, (1, 4, 7))):
+        shifts, scales = _family_inputs(net, copies, members)
+        reference = _member_mean_by_hand(net, shifts, scales, probes)
+        for systems in (default, *chunks):
+            monkeypatch.setattr(network_module, "_CHUNK_BYTES",
+                                systems * network_module._system_bytes(n))
+            np.testing.assert_array_equal(
+                steady_state_family(net, shifts, scales, probes), reference
+            )
 
 
 def test_family_of_no_probes_or_no_copies_is_empty():
@@ -428,15 +539,16 @@ def test_family_of_no_probes_or_no_copies_is_empty():
 
 
 def test_family_working_set_is_bounded_over_probes():
-    # one member whose systems alone exceed the bound: its probes are chunked too
-    net = five_node_demo()
-    n = len(net)
+    # one member whose systems alone exceed the bound: its probes are chunked too,
+    # into the adjugate's work arrays at two modes and LAPACK's stacks at five
     probes = np.linspace(-40.0, 40.0, 100_001)
-    assert 16 * n * (n + 1) * probes.size > network_module._CHUNK_BYTES
-    steady_state_batch(net, probes[:10])  # first-call allocations are not the solve's
-    result, peak = traced_peak(lambda: steady_state_batch(net, probes))
-    # slack: numpy's casting buffers, 0.2 MiB whatever the bound
-    assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19
+    for net in (emitter_resonator(), five_node_demo()):
+        n = len(net)
+        assert network_module._system_bytes(n) * probes.size > network_module._CHUNK_BYTES
+        steady_state_batch(net, probes[:10])  # first-call allocations are not the solve's
+        result, peak = traced_peak(lambda: steady_state_batch(net, probes))
+        # slack: numpy's casting buffers, 0.2 MiB whatever the bound
+        assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19
 
 
 def test_family_rejects_mismatched_member_arrays():

@@ -96,8 +96,13 @@ def _neighbours(values, steps=3):
 @pytest.mark.parametrize("values", [
     pytest.param(_neighbours(10.0 ** np.arange(-8, 19)), id="powers-of-ten"),
     pytest.param(_neighbours([float(f"1e{k}") for k in range(-8, 19)]), id="decimal-powers"),
-    pytest.param(_neighbours([1e-6, 1e17, 99999999999999999.0, 9.9999999999999999e-6]),
-                 id="window-edges"),
+    pytest.param(_neighbours([1e-8, 1e-7, 1e-6, 1e17, 99999999999999999.0,
+                              9.9999999999999999e-6]), id="window-edges"),
+    # 10**23 and 10**24 are not doubles: a 17th digit that is a tie (2**-25) and
+    # ones within 2**-53 of a tie, where the two-sum's rounding error decides
+    pytest.param(_neighbours([2.0**-25, 4.9102966142601843e-08, 1.0288839443954903e-08,
+                              1.0076000255121024e-08, 1.1637465766696436e-07]),
+                 id="near-ties-past-1e22"),
     # 16 integer digits and a quarter: the 17th digit is a tie, rounded to even
     pytest.param(np.arange(1e14, 4e15, 3.3e12)[:, None] + [0.25, 0.75, 0.5],
                  id="quarter-ties"),
