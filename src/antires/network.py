@@ -406,10 +406,8 @@ def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, probes:
             rows[j][k] = rows[k][j] = entry
         with np.errstate(all="ignore"):  # a singular system is refused below
             det, _ = _adjugate(rows, entries[-1], *x.transpose(2, 0, 1))
-        parts = np.abs(det.view(float))  # |re| and |im|: cheaper than |det| to test
-        if not (parts.min() >= _TINY and parts.max() < math.inf):  # a NaN fails both
-            size = np.abs(det)
-            x[~((size >= _TINY) & (size < math.inf))] = np.nan
+        size = np.abs(det)  # steady_state's test: a NaN fails both bounds
+        x[~((_TINY <= size) & (size < math.inf))] = np.nan
     else:
         ms = np.empty((len(scales), probes.size, n, n), dtype=complex)
         ms[:] = -a
@@ -442,17 +440,16 @@ def _adjugate(rows: list, *out: np.ndarray) -> tuple:
     and ``-`` round as its loops do; Python's complex division does not, so every
     division must meet an array or a numpy scalar.
     """
-    into = [{"out": array} for array in out] or [{}] * 3
     if len(rows) == 1:
         ((m, b),) = rows
-        return m, [np.divide(b, m, **into[1])]
+        return m, [np.divide(b, m, *out[1:])]
     (p, q, c), (r, s, d) = rows
-    det = np.multiply(p, s, **into[0])
+    det = np.multiply(p, s, *out[:1])
     det -= np.multiply(q, r)
-    first = np.multiply(s, c, **into[1])
+    first = np.multiply(s, c, *out[1:2])
     first -= np.multiply(q, d)
     first /= det
-    second = np.multiply(p, d, **into[2])
+    second = np.multiply(p, d, *out[2:])
     second -= np.multiply(r, c)
     second /= det
     return det, [first, second]

@@ -225,7 +225,7 @@ def _network_and_probes(draw):
     c = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
-            if (j, k) == (0, 1):  # strong enough for a row swap at mode 0's frequency
+            if (j, k) == (0, 1):  # g**2 outweighs det(M)'s diagonal product at mode 0
                 c[j, k] = rng.choice((-1.0, 1.0)) * (decays[0] + rng.uniform(0.5, 40.0))
             elif draw(st.booleans()):
                 c[j, k] = rng.uniform(-40.0, 40.0)
@@ -384,15 +384,24 @@ def test_an_overflowing_solve_raises_naming_the_probe():
     # is -inf and the adjugate alone would give a silent 0.  Decays of 1e-154
     # and no coupling leave det(M) = -1e-308, subnormal, which divides to a
     # finite but inexact solution: refused too
-    for g, decay in ((1e200, 1e-170), (1.01e200, 3e-170), (0.0, 1e-154)):
-        pair = ModeNetwork((Mode("c", "resonator", 0.0, decay), Mode("a", "emitter", 0.0, decay)),
-                           np.array([[0.0, g], [g, 0.0]]), np.array([1.0, 0.5j]))
+    nets = [ModeNetwork((Mode("c", "resonator", 0.0, decay), Mode("a", "emitter", 0.0, decay)),
+                        np.array([[0.0, g], [g, 0.0]]), np.array([1.0, 0.5j]))
+            for g, decay in ((1e200, 1e-170), (1.01e200, 3e-170), (0.0, 1e-154))]
+    # |det(M)| that overflows only as a modulus, its real and imaginary parts and
+    # the solution finite: M = 1.5e308 (1 + 1j) at one mode, det(M) about that at
+    # two.  One rule refuses it in a single solve, a batch and a family alike
+    nets += [ModeNetwork((Mode("c", "resonator", -1.5e308, 1.5e308),), np.zeros((1, 1)),
+                         np.array([1.0 + 0j])),
+             ModeNetwork((Mode("c", "resonator", -1e154, 1e154),
+                          Mode("a", "emitter", -1.5e154, 1.0)), np.zeros((2, 2)),
+                         np.array([1.0, 0.5j]))]
+    for net in nets:
         with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
-            steady_state(pair, 0.0)
+            steady_state(net, 0.0)
         with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
-            steady_state_batch(pair, [0.0, 1.0])
+            steady_state_batch(net, [0.0, 1.0])
         with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
-            steady_state_family(pair, np.zeros((2, 3, 2)), np.ones((2, 3)), [0.0])
+            steady_state_family(net, np.zeros((2, 3, len(net))), np.ones((2, 3)), [0.0])
 
 
 @pytest.mark.parametrize("build", [two_mode_network, five_node_demo])
