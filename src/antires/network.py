@@ -19,12 +19,15 @@ couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
 solves it for a *family* sharing one topology -- copies of ``network``, each
 averaged over members with their own frequency shifts and emitter coupling
 scales -- in chunks of (member, copy) units x probes, each chunk's working
-set under 1 MiB.  :func:`_solve` builds a chunk's entries of ``M`` by
-broadcasting.  One or two modes are solved by the adjugate, ``x = adj(M) @ b
-/ det(M)``, over those arrays, larger networks by one LAPACK solve per
-system.  A single :func:`steady_state` is :func:`_solve` on one system, or up
-to two modes the same adjugate on numpy scalars; either way it gives a
-batch's bits.
+set under 1 MiB.  One or two modes are solved by the adjugate, ``x = adj(M) @
+b / det(M)``, over entry arrays that :func:`_solve` builds by broadcasting.
+Larger networks follow Laub (IEEE Trans. Automat. Control 26, 1981, 407):
+:func:`_reduce` brings each unit's ``A = Q H Q^H`` to upper Hessenberg form
+once, O(n^3) a unit, and :func:`_eliminate` solves ``(p*I - H) y = Q^H b``
+for every probe with pivoting between neighbouring rows, O(n^2) a probe,
+then ``x = Q y``.  A single :func:`steady_state` is :func:`_solve` on one
+system, or up to two modes the same adjugate on numpy scalars; either way it
+gives a batch's bits.
 """
 
 from __future__ import annotations
@@ -45,10 +48,13 @@ MODE_KINDS = ("emitter", "resonator")
 _CHUNK_BYTES = 2**20
 
 # Networks of at most this many modes are solved by _adjugate over entry arrays,
-# larger ones by one LAPACK call per system.  Up to two modes LAPACK's per-call
-# overhead is most of a solve.  Elimination written for n modes gained in batches
-# up to five modes and lost from seven, but a single three-mode solve took twice
-# one LAPACK call (2-core Xeon), so the closed form stops at two.
+# larger ones by a Hessenberg reduction once a unit and an O(n^2) elimination a
+# probe.  At 3, 5 and 7 modes a reduction costs about 0.5, 2.4 and 4.3 us a unit
+# in a block of 256 units (80, 200 and 350 us for one unit alone), and a probe
+# 0.10, 0.26 and 0.49 us, against 0.41, 0.67 and 1.1 us for one LAPACK call a
+# system (20,001-probe sweeps, 2-core Xeon).  Few probes a unit cost more than
+# LAPACK did: a single solve 0.12-0.37 ms against 0.04-0.06 ms.  Up to two modes
+# the closed form beats both.
 _ADJUGATE_MAX_MODES = 2
 _TINY = np.finfo(float).tiny  # a smaller |det(M)| is refused
 
@@ -140,9 +146,10 @@ class ModeNetwork:
     is the complex drive amplitude applied to each mode.  Instances are
     immutable; use :meth:`with_drive_on` / ``dataclasses.replace`` to derive
     variants.  Construction derives the read-only ``labels``, ``frequencies``
-    and ``decays`` (in mode order) and ``matrix``, the mode matrix ``A =
-    diag(frequency - 1j*decay) + couplings`` that every solve, pole, zero and
-    oracle lift reads.
+    and ``decays`` (in mode order), ``emitter_mask`` (the modes that motional
+    perturbations shift and whose couplings they scale) and ``matrix``, the
+    mode matrix ``A = diag(frequency - 1j*decay) + couplings`` that every
+    solve, pole, zero and oracle lift reads.
     """
 
     modes: tuple[Mode, ...]
@@ -187,7 +194,8 @@ class ModeNetwork:
         matrix.setflags(write=False)
         diagonal = matrix.diagonal()  # a read-only view
         frequencies, decays = diagonal.real, -diagonal.imag
-        for a in (c, d, decays):
+        emitter_mask = np.array([m.kind == "emitter" for m in modes])
+        for a in (c, d, decays, emitter_mask):
             a.setflags(write=False)
         driven = amps.index(max(amps, key=abs))  # ties: first in order
         vars(self).update(  # a frozen dataclass refuses plain attribute writes
@@ -198,17 +206,12 @@ class ModeNetwork:
             frequencies=frequencies,
             decays=decays,
             matrix=matrix,
+            emitter_mask=emitter_mask,
             _driven=driven if amps[driven] else None,
         )
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    @property
-    def emitter_mask(self) -> np.ndarray:
-        """Boolean mask of the emitter modes, in mode order: the modes that
-        motional perturbations shift and whose couplings they scale."""
-        return np.array([m.kind == "emitter" for m in self.modes])
 
     def index(self, label: str) -> int:
         try:
@@ -300,7 +303,9 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
             raise SingularResponseError(f"singular response matrix at probe={probe}")
         amps = np.array(x)
     else:
-        amps = _solve(network, np.zeros((1, n)), np.ones(1), np.array([probe]), None)[0, 0]
+        still = np.zeros((1, n)), np.ones(1)
+        reduced = _reduce(network, *still, np.empty((2 * n, n + 1, 1), dtype=complex))
+        amps = _solve(network, *still, np.array([probe]), reduced)[0, 0]
     return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)
 
 
@@ -318,9 +323,11 @@ def steady_state_family(
     by ``coupling_scale[g, m]`` (shape ``(G, M)``).  Each (member, copy) network
     is a unit, and a chunk is a block of units, member-major, times probes, of at
     most ``_CHUNK_BYTES``: whole units while one unit's probes fit, else part of
-    one unit's.  Member 0 is assigned and the rest added in order, then divided
-    by ``M``: with ``M = 1`` each result is its system's own solution, bit for
-    bit, and a mean equals averaging the members one by one.
+    one unit's.  From three modes each unit is reduced to Hessenberg form once,
+    a block of units at a time, before its chunks.  Member 0 is assigned and the
+    rest added in order, then divided by ``M``: with ``M = 1`` each result is
+    its system's own solution, bit for bit, and a mean equals averaging the
+    members one by one.
     """
     network.driven_label()
     shifts = np.asarray(freq_shifts, dtype=float)
@@ -342,27 +349,41 @@ def steady_state_family(
     # one row per unit, member-major: unit u is member u // copies of copy u % copies
     shifts = np.moveaxis(shifts, 1, 0).reshape(-1, n)
     scales = scales.T.ravel()
-    step = max(1, _CHUNK_BYTES // _system_bytes(n))
-    width = min(step, probes.size)  # whole units while a unit's probes fit, else part of one
-    units = min(max(1, step // probes.size), len(scales))
+    system, (reduction, kept) = _system_bytes(n), _unit_bytes(n)
+    # from three modes a block of units is reduced once, within the budget, and its
+    # chunks of units x probes share the budget with what the reduction keeps
+    block = len(scales) if n <= _ADJUGATE_MAX_MODES else min(max(1, _CHUNK_BYTES // reduction),
+                                                              len(scales))
+    room = _CHUNK_BYTES - block * kept
+    width = min(probes.size, max(1, room // system))  # whole units while a unit's probes fit
+    units = min(max(1, room // (width * system)), block)
     # one set of work arrays for every chunk: arrays allocated and freed chunk by
     # chunk were handed back to the system and faulted in again, which cost about
     # as much as the solve (12k page faults a 512 x 1001 family)
-    work = (np.empty((2 * n - 1, units, width), dtype=complex),  # M's diagonals and det(M)
-            np.empty((units, width, n), dtype=complex)) if n <= _ADJUGATE_MAX_MODES else None
-    for lo in range(0, len(scales), units):
-        hi = min(lo + units, len(scales))
-        for first in range(0, probes.size, width):
-            part = slice(first, first + width)
-            x = _solve(network, shifts[lo:hi], scales[lo:hi], probes[part], work)
-            for m in range(lo // copies, (hi - 1) // copies + 1):
-                start, stop = max(lo, m * copies), min(hi, (m + 1) * copies)
-                sums = out[start - m * copies:stop - m * copies, part]
-                if m:
-                    sums += x[start - lo:stop - lo]
-                else:
-                    sums[...] = x[start - lo:stop - lo]
-            del x  # a LAPACK solution is freed before the next chunk is built
+    if n <= _ADJUGATE_MAX_MODES:
+        work = (np.empty((2 * n - 1, units, width), dtype=complex),  # M's diagonals, det(M)
+                np.empty((units, width, n), dtype=complex))
+    else:
+        reduced = np.empty((2 * n, n + 1, block), dtype=complex)  # every block's _reduce
+    for base in range(0, len(scales), block):
+        end = min(base + block, len(scales))
+        if n > _ADJUGATE_MAX_MODES:
+            h, q = _reduce(network, shifts[base:end], scales[base:end], reduced)
+        for lo in range(base, end, units):
+            hi = min(lo + units, end)
+            if n > _ADJUGATE_MAX_MODES:
+                work = h[..., lo - base:hi - base], q[..., lo - base:hi - base]
+            for first in range(0, probes.size, width):
+                part = slice(first, first + width)
+                x = _solve(network, shifts[lo:hi], scales[lo:hi], probes[part], work)
+                for m in range(lo // copies, (hi - 1) // copies + 1):
+                    start, stop = max(lo, m * copies), min(hi, (m + 1) * copies)
+                    sums = out[start - m * copies:stop - m * copies, part]
+                    if m:
+                        sums += x[start - lo:stop - lo]
+                    else:
+                        sums[...] = x[start - lo:stop - lo]
+                del x  # a chunk's solution is freed before the next one is built
     if members > 1:
         out /= members
     return out
@@ -374,55 +395,155 @@ def _system_bytes(n: int) -> int:
         # work arrays of 16 * (3n - 1), then |det|, probes or (units, 1) columns: a
         # chunk's traced peak is 107-129 bytes at two modes, 58-65 at one
         return 128
-    return 16 * n * (n + 1)  # the stacked matrix and its solution
+    # _eliminate keeps the pivoted rows of [M | c], (n + 1)(n + 2)/2 - 3 entries, then
+    # the solution y: its traced peak is (n + 1)(n + 2)/2 + n + 3.1 entries a system
+    # from 6 to 30 modes, at the first back substitution step, and + 9.5 at three to
+    # five (tracemalloc, one unit of 20,000 probes to 2,000 units of 10)
+    return 16 * ((n + 1) * (n + 2) // 2 + n + 8)
+
+
+def _unit_bytes(n: int) -> tuple:
+    """Bytes of one unit's :func:`_reduce` in a family: its peak, and what it keeps
+    while the unit's probes are solved."""
+    if n <= _ADJUGATE_MAX_MODES:
+        return 0, 0
+    # it keeps H's and Q's rows, 2n(n + 1) entries, and its largest temporary is the
+    # first right-hand reflection's 2n(n - 1): over 1000 units the traced peak is
+    # within 4n^2 + 5n + 24 entries a unit from 3 to 30 modes.  Fewer units add
+    # numpy's iteration buffers, at most 256 KiB whatever their number
+    return 16 * (4 * n * n + 5 * n + 32), 32 * n * (n + 1)
 
 
 def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, probes: np.ndarray,
-           work: tuple | None) -> np.ndarray:
+           work: tuple) -> np.ndarray:
     """Solutions of ``(p*I - a[u]) @ x = drive``, shape ``(units, probes, n)``, where
     ``a[u]`` is ``network.matrix`` with its diagonal shifted by ``shifts[u]`` and every
-    coupling that touches an emitter scaled by ``scales[u]``.  Those entries are built
-    by broadcasting: a diagonal is a ``(units, probes)`` array, a scaled coupling a
-    ``(units, 1)`` column.  Up to two modes they are solved in ``work``, arrays that
-    every chunk reuses: the diagonals and ``det(M)`` at two modes, mode-major, and
-    the solutions, which the result views.  A system with no trustworthy solution
-    is refused naming its probe."""
+    coupling that touches an emitter scaled by ``scales[u]``.  Up to two modes those
+    entries are built by broadcasting, a diagonal a ``(units, probes)`` array and a
+    scaled coupling a ``(units, 1)`` column, and solved by the adjugate in ``work``,
+    arrays that every chunk reuses: the diagonals and ``det(M)``, mode-major, and the
+    solutions, which the result views.  From three modes ``work`` is the units'
+    :func:`_reduce`, and :func:`_eliminate` solves each probe.  A system with no
+    trustworthy solution is refused naming its probe."""
     a = network.matrix
     n = len(a)
-    emitter = network.emitter_mask.tolist()
-    diagonal = probes.astype(complex)  # the same bits as the cast a float - complex makes, faster
-
-    def varying(diagonals):  # M is symmetric: one array serves both (j, k) and (k, j)
-        for j in range(n):
-            yield j, j, np.subtract(diagonal, (a[j, j] + shifts[:, j])[:, None], out=diagonals[j])
-            for k in range(j + 1, n):
-                if emitter[j] or emitter[k]:
-                    yield j, k, (-a[j, k] * scales)[:, None]
-
     if n <= _ADJUGATE_MAX_MODES:
         entries, x = work[0][:, :len(scales), :probes.size], work[1][:len(scales), :probes.size]
         rows = [[-a[j, k] for k in range(n)] + [network.drive[j]] for j in range(n)]
-        for j, k, entry in varying(entries):
-            rows[j][k] = rows[k][j] = entry
+        diagonal = probes.astype(complex)  # the same bits as the cast a float - complex makes
+        for j in range(n):
+            rows[j][j] = np.subtract(diagonal, (a[j, j] + shifts[:, j])[:, None], out=entries[j])
+        if n == 2 and network.emitter_mask.any():  # M is symmetric: one column serves both
+            rows[0][1] = rows[1][0] = (-a[0, 1] * scales)[:, None]
         with np.errstate(all="ignore"):  # a singular system is refused below
             det, _ = _adjugate(rows, entries[-1], *x.transpose(2, 0, 1))
         size = np.abs(det)  # steady_state's test: a NaN fails both bounds
         x[~((_TINY <= size) & (size < math.inf))] = np.nan
+        parts = x.view(float)
     else:
-        ms = np.empty((len(scales), probes.size, n, n), dtype=complex)
-        ms[:] = -a
-        for j, k, entry in varying([ms[..., j, j] for j in range(n)]):  # diagonals in place
-            if j != k:
-                ms[..., j, k] = ms[..., k, j] = entry
-        rhs = np.broadcast_to(network.drive, ms.shape[:-1])[..., None]
-        try:
-            x = np.linalg.solve(ms, rhs)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularResponseError("singular response matrix in family solve") from exc
-    parts = x.view(float)  # a near-singular solve overflows without raising
+        with np.errstate(all="ignore"):  # a zero pivot or an overflow is refused below
+            modal = _eliminate(*work, probes)
+        parts, x = modal.view(float), np.moveaxis(modal, 0, -1)
     if not (-math.inf < parts.min() and parts.max() < math.inf):  # a NaN fails both
         bad = probes[np.isfinite(x).all(axis=-1).argmin() % probes.size]
         raise SingularResponseError(f"singular response matrix at probe={bad}")
+    return x
+
+
+def _reduce(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray,
+            out: np.ndarray) -> tuple:
+    """Every unit's ``a[u]`` (see :func:`_solve`) reduced to upper Hessenberg form ``H =
+    Q^H a[u] Q`` by Householder reflectors, batched over units (Laub, IEEE Trans.
+    Automat. Control 26, 1981, 407): ``-H`` with ``c = Q^H drive`` appended as column
+    ``n``, shape ``(n, n + 1, units)``, and ``Q``, ``(n, n, units)``, both views of
+    ``out``, shape ``(2n, n + 1, >= units)``.  Every sum runs over a Python loop of
+    elementwise ufuncs, with no BLAS call, so a unit's bits do not depend on the
+    units beside it.  Entries below the subdiagonal are left as rounding made them
+    and never read.  Entries near the largest double may overflow here, and the
+    solve refuses what that leaves non-finite."""
+    a = network.matrix
+    n, units = len(a), len(scales)
+    hq = out[..., :units]  # H's rows over Q's: P acts on both
+    h, q = hq[:n], hq[n:, :n]
+    q[...] = 0.0
+    h[:, :n] = a[:, :, None]
+    h[:, n] = network.drive[:, None]
+    emitter = network.emitter_mask
+    scaled = np.logical_or.outer(emitter, emitter)
+    np.fill_diagonal(scaled, False)
+    h[:, :n][scaled] = network.couplings[scaled][:, None] * scales
+    modes = np.arange(n)
+    h[modes, modes] += shifts.T
+    q[modes, modes] = 1.0
+    with np.errstate(all="ignore"):  # an overflow is refused by _solve
+        for k in range(n - 2):
+            m = n - k - 1
+            # P = I - beta u u^H maps column k below the diagonal onto its first entry.
+            # It is scaled by its largest modulus first, as LAPACK's zlarfg does, so that
+            # no square overflows or underflows to 0
+            v = h[k + 1:, k] / np.maximum(np.abs(h[k + 1:, k]).max(axis=0), _TINY)
+            squares = v.real * v.real + v.imag * v.imag
+            norm = squares[0]
+            for i in range(1, m):
+                norm = norm + squares[i]
+            norm = np.sqrt(norm)
+            size = np.abs(v[0])
+            phase = np.divide(v[0], size, out=np.ones(units, dtype=complex), where=size > 0)
+            v[0] += phase * norm  # u = v + phase |v| e_1 cancels nothing
+            beta = np.divide(1.0, norm * (norm + size), out=np.zeros(units), where=norm > 0)
+            u = v.conj()
+            w = u[0] * h[k + 1, k:]  # H := P H, rows k + 1 on
+            for i in range(1, m):
+                w += u[i] * h[k + 1 + i, k:]
+            w *= beta
+            h[k + 1:, k:] -= v[:, None] * w
+            z = hq[:, k + 1] * v[0]  # H := H P and Q := Q P, columns k + 1 to n - 1
+            for j in range(1, m):
+                z += hq[:, k + 1 + j] * v[j]
+            z *= beta
+            hq[:, k + 1:n] -= z[:, None] * u
+    np.negative(h[:, :n], out=h[:, :n])
+    return h, q
+
+
+def _eliminate(rows: np.ndarray, q: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Solutions ``Q y``, shape ``(n, units, probes)``, where ``y`` solves ``(p*I - H)
+    @ y = c`` for every unit's :func:`_reduce` ``rows = [-H | c]`` and ``Q``, and probe
+    ``p``.  Gaussian elimination with partial pivoting, which on a Hessenberg matrix
+    compares rows ``k`` and ``k + 1`` only and grows entries by at most a factor
+    ``n`` (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    chapter 9), then back substitution.  The remaining row is one ``(columns,
+    units, probes)`` array, so a step costs the same few ufunc calls at any ``n``."""
+    n, units = len(q), q.shape[-1]
+    top = np.empty((n + 1, units, probes.size), dtype=complex)
+    top[...] = rows[0, :, :, None]
+    np.add(probes, rows[0, 0, :, None], out=top[0])
+    pivoted = []
+    for k in range(n - 1):
+        below = rows[k + 1, k:, :, None]  # row k + 1 from column k, less p on its diagonal
+        diagonal = np.add(probes, below[1])
+        swap = np.abs(below[0]) > np.abs(top[0])
+        upper, lower = np.where(swap, below, top), np.where(swap, top, below)
+        upper[1], lower[1] = np.where(swap, diagonal, top[1]), np.where(swap, top[1], diagonal)
+        ratio = lower[0] / upper[0]
+        top = lower[1:]
+        top -= ratio * upper[1:]
+        pivoted.append(upper)
+    y = np.empty((n, units, probes.size), dtype=complex)
+    np.divide(top[1], top[0], out=y[-1])
+    del top
+    for k in range(n - 2, -1, -1):
+        upper = pivoted.pop()  # the pivot, row k of the triangle, then its right-hand side
+        terms = upper[1:-1] * y[k + 1:]
+        np.subtract(upper[-1], terms[0], out=y[k])
+        for term in terms[1:]:
+            y[k] -= term
+        y[k] /= upper[0]
+    x = np.empty_like(y)  # Q's first row and column are e_0: no reflection touches mode 0
+    x[0] = y[0]
+    np.multiply(q[1:, 1, :, None], y[1], out=x[1:])
+    for j in range(2, n):
+        x[1:] += q[1:, j, :, None] * y[j]
     return x
 
 

@@ -242,8 +242,8 @@ def _network_and_probes(draw):
 @settings(max_examples=150, deadline=None)
 @given(_network_and_probes())
 def test_single_solve_bit_equals_its_batch_row(case):
-    # the adjugate up to two modes, LAPACK above: either way one system alone, on
-    # numpy scalars, and in a batch chunk of (units, probes) arrays give the same bits
+    # the adjugate up to two modes, the Hessenberg elimination above: either way one
+    # system alone and in a batch chunk of (units, probes) arrays give the same bits
     net, probes = case
     if len(net) == 2:
         coupling_wins = [abs(net.couplings[0, 1]) > abs(p - net.frequencies[0]) + net.decays[0]
@@ -366,8 +366,8 @@ def test_two_mode_solve_is_within_its_error_bound_of_the_exact_solution(case):
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_solve_raises_naming_the_probe():
     # a decay of 5e-324 MHz passes validation, but at the mode's own frequency
-    # the response overflows: the adjugate (one mode) and LAPACK (three) refuse
-    # it, single solve or batch, without a numpy warning
+    # the response overflows: the adjugate (one mode) and the Hessenberg
+    # elimination (three) refuse it, single solve or batch, without a numpy warning
     one = ModeNetwork((Mode("c", "resonator", 0.0, 5e-324),), np.zeros((1, 1)),
                       np.array([1.0 + 0j]))
     three = ModeNetwork(
@@ -395,6 +395,11 @@ def test_an_overflowing_solve_raises_naming_the_probe():
              ModeNetwork((Mode("c", "resonator", -1e154, 1e154),
                           Mode("a", "emitter", -1.5e154, 1.0)), np.zeros((2, 2)),
                          np.array([1.0, 0.5j]))]
+    # three modes at +-1e308 MHz, all pairs coupled: the Hessenberg reduction's sums
+    # overflow at every probe, and what they leave is refused without a warning
+    nets.append(ModeNetwork(tuple(Mode(f"m{j}", "resonator", f, 1.0)
+                                  for j, f in enumerate((1e308, -1e308, 0.0))),
+                            np.ones((3, 3)) - np.eye(3), np.array([1.0, 0.5j, 0.0])))
     for net in nets:
         with pytest.raises(SingularResponseError, match=r"probe=0\.0$"):
             steady_state(net, 0.0)
@@ -404,11 +409,161 @@ def test_an_overflowing_solve_raises_naming_the_probe():
             steady_state_family(net, np.zeros((2, 3, len(net))), np.ones((2, 3)), [0.0])
 
 
+def _lapack_solve(net, probes):
+    """The reference: one LAPACK solve of ``M(probe) @ x = drive`` per probe."""
+    probes = np.asarray(probes, dtype=float)
+    m = probes[:, None, None] * np.eye(len(net)) - net.matrix
+    rhs = np.broadcast_to(net.drive, (probes.size, len(net)))[..., None]
+    return np.linalg.solve(m, rhs)[..., 0]
+
+
+def _relative_errors(got, reference):
+    """Per probe, in the max norm of moduli, which neither squares nor underflows."""
+    return np.abs(got - reference).max(axis=1) / np.abs(reference).max(axis=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g", [1e200, 1e150, 1e-200])
+def test_three_mode_solve_survives_extreme_couplings(g):
+    # every pair coupled by g: the Householder column below the diagonal squares to
+    # 1e400 or 1e-400 unless it is scaled first; LAPACK solves these networks, and
+    # so must the reduction, to |x| of about 5e-201 at 1e200, without a warning
+    c = np.full((3, 3), g)
+    np.fill_diagonal(c, 0.0)
+    net = ModeNetwork(tuple(Mode(f"m{j}", kind, 2.0 * j, 1.0) for j, kind in
+                            enumerate(("resonator", "emitter", "resonator"))),
+                      c, np.array([1.0, 0.5j, 0.0]))
+    probes = np.array([-1.0, 0.0, 0.5, 2.0, 7.0])
+    got = steady_state_batch(net, probes)
+    assert np.isfinite(got).all()
+    assert _relative_errors(got, _lapack_solve(net, probes)).max() <= 1e-13
+    for k, probe in enumerate(probes):
+        assert steady_state(net, probe).amplitudes.tobytes() == got[k].tobytes()
+    family = steady_state_family(net, np.zeros((3, 1, 3)), np.ones((3, 1)), probes)
+    assert (family == got).all()
+
+
+def _backward_error(net, probe, x):
+    """``||b - M x|| / (||M||_F ||x|| + ||b||)`` with the residual in exact arithmetic:
+    the smallest relative perturbation of ``M`` and ``b`` that ``x`` solves exactly."""
+    n = len(net)
+    xs = [_exact(z) for z in x]
+    residual = []
+    for j in range(n):
+        acc = _exact(net.drive[j])
+        for k in range(n):
+            entry = _sub((Fraction(probe) if j == k else 0, 0), _exact(net.matrix[j, k]))
+            acc = _sub(acc, _mul(entry, xs[k]))
+        residual.append(complex(float(acc[0]), float(acc[1])))
+    scale = np.linalg.norm(response_matrix(net, probe)) * np.linalg.norm(x)
+    return np.linalg.norm(residual) / (scale + np.linalg.norm(net.drive))
+
+
+@st.composite
+def _many_mode_systems(draw):
+    """A random 3-8-mode network, decays from 1e-6 to 10 MHz, and probes on its
+    poles' real parts, an ulp and a half-width beside them, on its modes'
+    frequencies, and a few anywhere.  At a narrow mode's frequency its diagonal
+    entry is far below its couplings, so an elimination that did not pivot would
+    grow.  Hypothesis picks the structure (mode count, kinds, which couplings and
+    drive amplitudes are zero); the values come from a seeded generator, as in
+    ``_network_and_probes``."""
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(MODE_KINDS), min_size=n, max_size=n))
+    c = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            if draw(st.booleans()):
+                c[j, k] = c[k, j] = rng.uniform(-40.0, 40.0)
+    driven = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    driven[draw(st.integers(0, n - 1))] = True
+    drive = np.where(driven, rng.normal(size=n) + 1j * rng.normal(size=n), 0.0)
+    net = ModeNetwork(tuple(Mode(f"m{j}", kind, float(f), float(d)) for j, (kind, f, d) in
+                            enumerate(zip(kinds, rng.uniform(-30.0, 30.0, n),
+                                          10.0 ** rng.uniform(-6.0, 1.0, n)))), c, drive)
+    poles = np.linalg.eigvals(net.matrix)
+    probes = [p.real + d for p in poles for d in (-p.imag, 0.0, p.imag)]
+    probes += [np.nextafter(p.real, side) for p in poles for side in (-np.inf, np.inf)]
+    return net, np.array(probes + list(net.frequencies) + list(rng.uniform(-60.0, 60.0, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_many_mode_systems())
+def test_many_mode_solve_is_backward_stable(case):
+    # The bound is set from eps, n and the growth factor before any error is seen.
+    # In units of u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., 2002): the reduction and the transforms by Q, n - 2 complex
+    # Householder reflections, perturb M by a small multiple of n^2 u ||M||_F
+    # (chapter 19), taken here as 8 n^2; elimination that pivots between two rows
+    # rounds each entry of the Hessenberg matrix at most twice, and back
+    # substitution at most n times, on a triangle grown by at most rho = n (chapter
+    # 9): at most n^2 rho more.  LAPACK's partial pivoting on these small matrices is
+    # held to the same bound, and the two solutions then agree to within twice the
+    # condition number kappa_F(M) times it
+    net, probes = case
+    n = len(net)
+    bound = (8 * n * n + n * n * n) * np.finfo(float).eps / 2
+    got, reference = steady_state_batch(net, probes), _lapack_solve(net, probes)
+    for probe, x, want in zip(probes, got, reference):
+        assert _backward_error(net, probe, x) <= bound
+        assert _backward_error(net, probe, want) <= bound
+        m = response_matrix(net, probe)
+        kb = np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m)) * bound
+        if kb < 0.25:
+            assert np.linalg.norm(x - want) <= 2 * kb / (1 - 2 * kb) * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("drive", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+@pytest.mark.parametrize("g3", [0.0, 2.0])
+def test_three_mode_solve_is_accurate_through_the_exceptional_point(drive, g3):
+    # the cavity-atom pair of the two-mode test at and beside its exceptional
+    # point, with a third mode 20 MHz away: uncoupled (the 3 x 3 matrix is then
+    # itself defective) or coupled to the cavity.  A solve through the eigenbasis
+    # loses digits here; the Hessenberg elimination must match LAPACK
+    gamma, kappa = 3.0, 1.5
+    g_ep = abs(gamma - kappa) / 2
+    probes = np.linspace(-10.0, 10.0, 4001)
+    for g in g_ep * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]):
+        net = ModeNetwork((Mode("cavity", "resonator", 0.0, kappa),
+                           Mode("atom", "emitter", 0.0, gamma),
+                           Mode("far", "resonator", 20.0, 1.0)),
+                          np.array([[0.0, g, g3], [g, 0.0, 0.0], [g3, 0.0, 0.0]]),
+                          np.array(drive, dtype=complex))
+        got = steady_state_batch(net, probes)
+        assert _relative_errors(got, _lapack_solve(net, probes)).max() <= 1e-13
+
+
+def test_pivot_row_flips_across_a_probe_grid():
+    # The first elimination step compares |p - A[0, 0]| with |H[1, 0]|, which is
+    # ||A[1:, 0]|| = 2.5 whatever the reflector's phase: the pivot stays on row 0
+    # outside a disc of radius 2.5 about A[0, 0] = -1e-9j and moves to row 1 inside
+    # it.  The grid crosses the disc's edge, lies an ulp either side of it, and
+    # passes through mode a's frequency, where the unpivoted multiplier would be
+    # 2.5e9
+    net = ModeNetwork((Mode("a", "resonator", 0.0, 1e-9), Mode("b", "emitter", 3.0, 1.0),
+                       Mode("c", "resonator", -4.0, 2.0)),
+                      np.array([[0.0, 2.0, 1.5], [2.0, 0.0, 1.0], [1.5, 1.0, 0.0]]),
+                      np.array([1.0, 0.0, 0.5j]))
+    a = net.matrix
+    radius = np.linalg.norm(a[1:, 0])
+    edges = [a[0, 0].real + side * math.sqrt(radius**2 - a[0, 0].imag ** 2) for side in (-1, 1)]
+    probes = np.concatenate([np.linspace(-6.0, 6.0, 241), edges,
+                             [np.nextafter(e, side) for e in edges for side in (-np.inf, np.inf)]])
+    inside = np.abs(probes - a[0, 0]) < radius
+    assert 50 < inside.sum() < probes.size - 50
+    got = steady_state_batch(net, probes)
+    assert _relative_errors(got, _lapack_solve(net, probes)).max() <= 1e-13
+    for k in np.flatnonzero(np.diff(inside)):  # either side of each crossing
+        for i in (k, k + 1):
+            assert steady_state(net, probes[i]).amplitudes.tobytes() == got[i].tobytes()
+
+
 @pytest.mark.parametrize("build", [two_mode_network, five_node_demo])
 @pytest.mark.parametrize("probe", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_probe_is_refused_naming_it(build, probe):
-    # one mode pair by the adjugate, five nodes by LAPACK: refused before either
-    # solve, not reported as a singular matrix after numpy warns
+    # one mode pair by the adjugate, five nodes by the Hessenberg elimination:
+    # refused before either solve, not reported as a singular matrix after numpy warns
     net = build()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -549,15 +704,37 @@ def test_family_of_no_probes_or_no_copies_is_empty():
 
 def test_family_working_set_is_bounded_over_probes():
     # one member whose systems alone exceed the bound: its probes are chunked too,
-    # into the adjugate's work arrays at two modes and LAPACK's stacks at five
+    # into the adjugate's work arrays at two modes and the Hessenberg elimination's
+    # rows from three
     probes = np.linspace(-40.0, 40.0, 100_001)
-    for net in (emitter_resonator(), five_node_demo()):
+    rng = np.random.default_rng(7)
+    for net in (emitter_resonator(), five_node_demo(), random_network(rng, 7),
+                random_network(rng, 12)):
         n = len(net)
         assert network_module._system_bytes(n) * probes.size > network_module._CHUNK_BYTES
         steady_state_batch(net, probes[:10])  # first-call allocations are not the solve's
         result, peak = traced_peak(lambda: steady_state_batch(net, probes))
         # slack: numpy's casting buffers, 0.2 MiB whatever the bound
         assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_family_of_many_units_holds_its_reductions_to_the_bound(monkeypatch, n):
+    # from three modes every unit is reduced to Hessenberg form once, a block of
+    # units at a time: 4,000 one-probe units (the Stark scan's shape) need many
+    # blocks, 600 units of three probes and 64 of 301 fewer, in chunks of units.
+    # Every block gives the bits of one block of all units
+    net = random_network(np.random.default_rng(n), n)
+    assert network_module._unit_bytes(n)[0] * 4000 > 3 * network_module._CHUNK_BYTES
+    for copies, members, points in ((4000, 1, 1), (300, 2, 3), (64, 1, 301)):
+        shifts, scales = _family_inputs(net, copies, members)
+        probes = np.linspace(-5.0, 5.0, points)
+        steady_state_family(net, shifts[:2], scales[:2], probes)  # first-call allocations
+        result, peak = traced_peak(lambda: steady_state_family(net, shifts, scales, probes))
+        assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19
+        with monkeypatch.context() as patch:
+            patch.setattr(network_module, "_CHUNK_BYTES", 2**40)
+            np.testing.assert_array_equal(result, steady_state_family(net, shifts, scales, probes))
 
 
 def test_family_rejects_mismatched_member_arrays():
