@@ -204,8 +204,8 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None:
         try:
             user = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
+        except OSError as exc:  # missing, or a directory, say
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror or exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(user, dict):
@@ -231,7 +231,10 @@ def _resolve_network(options: dict) -> ModeNetwork:
     if path.is_file():
         if params:
             raise ConfigError("network_params only apply to presets, not network files")
-        return load_network(path)
+        try:
+            return load_network(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read network file {name}: {exc.strerror or exc}")
     raise ConfigError(
         f"network {name!r} is neither a preset ({sorted(NETWORK_PRESETS)}) nor a file"
     )
@@ -670,7 +673,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(errors="backslashreplace")
     try:
         cfg = _load_scenario(args)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, say
+            raise ConfigError(f"cannot make --out {args.out} a directory: {exc.strerror or exc}")
         return COMMANDS[args.command](cfg)
     # ConfigError and InvalidNetworkError are ValueErrors; a singular response is a
     # network too close to lossless for the probe grid

@@ -18,21 +18,21 @@ Every solve goes through one mode matrix ``A = diag(frequency - 1j*decay) +
 couplings`` as ``M(probe) = probe*I - A``.  :func:`steady_state_family`
 solves it for a *family* sharing one topology -- copies of ``network``, each
 averaged over members with their own frequency shifts and emitter coupling
-scales -- in chunks of (member, copy) units x probes, each chunk's working
-set under 1 MiB.  One or two modes are solved by the adjugate, ``x = adj(M) @
-b / det(M)``, over entry arrays that :func:`_solve` builds by broadcasting.
-Larger networks follow Laub (IEEE Trans. Automat. Control 26, 1981, 407):
-:func:`_reduce` brings each unit's ``A = Q H Q^H`` to upper Hessenberg form
-once, O(n^3) a unit, and :func:`_eliminate` solves ``(p*I - H) y = Q^H b``
-for every probe with pivoting between neighbouring rows, O(n^2) a probe,
-then ``x = Q y``.  A single :func:`steady_state` is :func:`_solve` on one
-system, or up to two modes the same adjugate on numpy scalars; either way it
-gives a batch's bits.
+scales -- by one pipeline at any mode count.  :func:`_reduce` writes each
+(member, copy) unit's ``A`` once, a block of units at a time, as upper
+Hessenberg ``A = Q H Q^H`` (Laub, IEEE Trans. Automat. Control 26, 1981, 407;
+below three modes ``H = A``, ``Q = I``).  :func:`_solve` takes the block in
+chunks of units x probes under 1 MiB: up to two modes by the adjugate, ``x =
+adj(M) @ b / det(M)``, and from three by :func:`_eliminate`, ``(p*I - H) y = Q^H
+b`` with pivoting between neighbouring rows, O(n^2) a probe, then ``x = Q y``.
+A single :func:`steady_state` is that pipeline on one system, or up to two
+modes the same adjugate on numpy scalars; either way it gives a batch's bits.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -47,14 +47,14 @@ MODE_KINDS = ("emitter", "resonator")
 # Bound on the working set of one chunk of a family solve (see _system_bytes).
 _CHUNK_BYTES = 2**20
 
-# Networks of at most this many modes are solved by _adjugate over entry arrays,
-# larger ones by a Hessenberg reduction once a unit and an O(n^2) elimination a
-# probe.  At 3, 5 and 7 modes a reduction costs about 0.5, 2.4 and 4.3 us a unit
-# in a block of 256 units (80, 200 and 350 us for one unit alone), and a probe
-# 0.10, 0.26 and 0.49 us, against 0.41, 0.67 and 1.1 us for one LAPACK call a
-# system (20,001-probe sweeps, 2-core Xeon).  Few probes a unit cost more than
-# LAPACK did: a single solve 0.12-0.37 ms against 0.04-0.06 ms.  Up to two modes
-# the closed form beats both.
+# Networks of at most this many modes are solved by _adjugate from their block's
+# _reduce rows, in which no reflector has acted (H = A, Q = I); larger ones by an
+# O(n^2) elimination a probe of the reduced rows.  At 3, 5 and 7 modes a reduction
+# costs about 0.5, 2.4 and 4.3 us a unit in a block of 256 units (80, 200 and 350
+# us for one unit alone), and a probe 0.10, 0.26 and 0.49 us, against 0.41, 0.67
+# and 1.1 us for one LAPACK call a system (20,001-probe sweeps, 2-core Xeon).  Few
+# probes a unit cost more than LAPACK did: a single solve 0.12-0.37 ms against
+# 0.04-0.06 ms.  Up to two modes the closed form beats both.
 _ADJUGATE_MAX_MODES = 2
 _TINY = np.finfo(float).tiny  # a smaller |det(M)| is refused
 
@@ -282,7 +282,7 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
     The one-member, one-probe case of :func:`steady_state_family`: its
-    :func:`_solve` on one system, except that up to ``_ADJUGATE_MAX_MODES``
+    :func:`_reduce` and :func:`_solve` on one system, except that up to two
     modes it runs the same adjugate on numpy scalars, for the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
@@ -303,9 +303,9 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
             raise SingularResponseError(f"singular response matrix at probe={probe}")
         amps = np.array(x)
     else:
-        still = np.zeros((1, n)), np.ones(1)
-        reduced = _reduce(network, *still, np.empty((2 * n, n + 1, 1), dtype=complex))
-        amps = _solve(network, *still, np.array([probe]), reduced)[0, 0]
+        reduced = _reduce(network, np.zeros((1, n)), np.ones(1),
+                          np.empty((2 * n, n + 1, 1), dtype=complex))
+        amps = _solve(*reduced, np.array([probe]), ())[0, 0]
     return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)
 
 
@@ -321,13 +321,13 @@ def steady_state_family(
     Member ``m`` of copy ``g`` shifts every mode frequency by ``freq_shifts[g, m]``
     (shape ``(G, M, n_modes)``) and scales every coupling touching an emitter
     by ``coupling_scale[g, m]`` (shape ``(G, M)``).  Each (member, copy) network
-    is a unit, and a chunk is a block of units, member-major, times probes, of at
-    most ``_CHUNK_BYTES``: whole units while one unit's probes fit, else part of
-    one unit's.  From three modes each unit is reduced to Hessenberg form once,
-    a block of units at a time, before its chunks.  Member 0 is assigned and the
-    rest added in order, then divided by ``M``: with ``M = 1`` each result is
-    its system's own solution, bit for bit, and a mean equals averaging the
-    members one by one.
+    is a unit.  At any mode count :func:`_reduce` prepares the units, member-major,
+    a block at a time: whole members while one member's copies fit, else part of
+    one member's.  :func:`_solve` takes each block in chunks of units times probes
+    of at most ``_CHUNK_BYTES`` with what the block keeps: whole units while one
+    unit's probes fit, else part of one unit's.  Member 0 is assigned and the rest
+    added in order, then divided by ``M``: with ``M = 1`` each result is its
+    system's own solution, bit for bit, and a mean equals averaging the members one by one.
     """
     network.driven_label()
     shifts = np.asarray(freq_shifts, dtype=float)
@@ -346,36 +346,35 @@ def steady_state_family(
     out = np.empty((copies, probes.size, n), dtype=complex)
     if not out.size:
         return out
-    # one row per unit, member-major: unit u is member u // copies of copy u % copies
-    shifts = np.moveaxis(shifts, 1, 0).reshape(-1, n)
-    scales = scales.T.ravel()
+    # member-major views: unit u is member u // copies of copy u % copies
+    shifts, scales = np.moveaxis(shifts, 1, 0), scales.T
     system, (reduction, kept) = _system_bytes(n), _unit_bytes(n)
-    # from three modes a block of units is reduced once, within the budget, and its
-    # chunks of units x probes share the budget with what the reduction keeps
-    block = len(scales) if n <= _ADJUGATE_MAX_MODES else min(max(1, _CHUNK_BYTES // reduction),
-                                                              len(scales))
+    # a block of units is reduced once, within the budget, and its chunks of units x
+    # probes share the budget with what the reduction keeps
+    block = min(max(1, _CHUNK_BYTES // reduction), scales.size)
     room = _CHUNK_BYTES - block * kept
     width = min(probes.size, max(1, room // system))  # whole units while a unit's probes fit
     units = min(max(1, room // (width * system)), block)
-    # one set of work arrays for every chunk: arrays allocated and freed chunk by
-    # chunk were handed back to the system and faulted in again, which cost about
-    # as much as the solve (12k page faults a 512 x 1001 family)
-    if n <= _ADJUGATE_MAX_MODES:
-        work = (np.empty((2 * n - 1, units, width), dtype=complex),  # M's diagonals, det(M)
-                np.empty((units, width, n), dtype=complex))
-    else:
-        reduced = np.empty((2 * n, n + 1, block), dtype=complex)  # every block's _reduce
-    for base in range(0, len(scales), block):
-        end = min(base + block, len(scales))
-        if n > _ADJUGATE_MAX_MODES:
-            h, q = _reduce(network, shifts[base:end], scales[base:end], reduced)
+    # one set of the adjugate's work arrays for every chunk: arrays allocated and
+    # freed chunk by chunk were handed back to the system and faulted in again, which
+    # cost about as much as the solve (12k page faults a 512 x 1001 family)
+    work = () if n > _ADJUGATE_MAX_MODES else (
+        np.empty((2 * n - 1, units, width), dtype=complex),  # M's diagonals, det(M)
+        np.empty((units, width, n), dtype=complex))
+    reduced = np.empty((2 * n, n + 1, block), dtype=complex)  # every block's _reduce
+    # a block is whole members while a member's copies fit, else part of one member's
+    span, stride = min(block, copies), max(1, block // copies)
+    for member, copy in itertools.product(range(0, members, stride), range(0, copies, span)):
+        taken = np.s_[member:member + stride, copy:copy + span]
+        h, q = _reduce(network, shifts[taken].reshape(-1, n), scales[taken].ravel(), reduced)
+        base = member * copies + copy
+        end = base + q.shape[-1]
         for lo in range(base, end, units):
             hi = min(lo + units, end)
-            if n > _ADJUGATE_MAX_MODES:
-                work = h[..., lo - base:hi - base], q[..., lo - base:hi - base]
+            rows, modal = h[..., lo - base:hi - base], q[..., lo - base:hi - base]
             for first in range(0, probes.size, width):
                 part = slice(first, first + width)
-                x = _solve(network, shifts[lo:hi], scales[lo:hi], probes[part], work)
+                x = _solve(rows, modal, probes[part], work)
                 for m in range(lo // copies, (hi - 1) // copies + 1):
                     start, stop = max(lo, m * copies), min(hi, (m + 1) * copies)
                     sums = out[start - m * copies:stop - m * copies, part]
@@ -390,10 +389,11 @@ def steady_state_family(
 
 
 def _system_bytes(n: int) -> int:
-    """Bytes of one system of ``n`` modes in a family chunk, which sizes the chunks."""
+    """Bytes of one system of ``n`` modes in a :func:`_solve` chunk, beside what its
+    block's :func:`_reduce` keeps (see :func:`_unit_bytes`), which sizes the chunks."""
     if n <= _ADJUGATE_MAX_MODES:
-        # work arrays of 16 * (3n - 1), then |det|, probes or (units, 1) columns: a
-        # chunk's traced peak is 107-129 bytes at two modes, 58-65 at one
+        # the adjugate's work arrays of 16 * (3n - 1), then |det| and the probes: a
+        # chunk's traced peak is 93-107 bytes at two modes, 43-59 at one
         return 128
     # _eliminate keeps the pivoted rows of [M | c], (n + 1)(n + 2)/2 - 3 entries, then
     # the solution y: its traced peak is (n + 1)(n + 2)/2 + n + 3.1 entries a system
@@ -405,44 +405,38 @@ def _system_bytes(n: int) -> int:
 def _unit_bytes(n: int) -> tuple:
     """Bytes of one unit's :func:`_reduce` in a family: its peak, and what it keeps
     while the unit's probes are solved."""
-    if n <= _ADJUGATE_MAX_MODES:
-        return 0, 0
-    # it keeps H's and Q's rows, 2n(n + 1) entries, and its largest temporary is the
-    # first right-hand reflection's 2n(n - 1): over 1000 units the traced peak is
-    # within 4n^2 + 5n + 24 entries a unit from 3 to 30 modes.  Fewer units add
-    # numpy's iteration buffers, at most 256 KiB whatever their number
-    return 16 * (4 * n * n + 5 * n + 32), 32 * n * (n + 1)
+    # it keeps H's and Q's rows, 2n(n + 1) entries; from three modes its largest
+    # temporary is the first right-hand reflection's 2n(n - 1).  Over 4,000 units the
+    # traced peak is 5.1 and 14.6 entries a unit at one and two modes and 4n^2 + 6n +
+    # 3.6 from 3 to 30, over twice what is kept, so a block leaves its chunks at
+    # least half the budget.  Fewer units add numpy's iteration buffers, <= 256 KiB
+    return 16 * (4 * n * n + 6 * n + 4), 32 * n * (n + 1)
 
 
-def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, probes: np.ndarray,
-           work: tuple) -> np.ndarray:
-    """Solutions of ``(p*I - a[u]) @ x = drive``, shape ``(units, probes, n)``, where
-    ``a[u]`` is ``network.matrix`` with its diagonal shifted by ``shifts[u]`` and every
-    coupling that touches an emitter scaled by ``scales[u]``.  Up to two modes those
-    entries are built by broadcasting, a diagonal a ``(units, probes)`` array and a
-    scaled coupling a ``(units, 1)`` column, and solved by the adjugate in ``work``,
-    arrays that every chunk reuses: the diagonals and ``det(M)``, mode-major, and the
-    solutions, which the result views.  From three modes ``work`` is the units'
-    :func:`_reduce`, and :func:`_eliminate` solves each probe.  A system with no
-    trustworthy solution is refused naming its probe."""
-    a = network.matrix
-    n = len(a)
+def _solve(rows: np.ndarray, q: np.ndarray, probes: np.ndarray, work: tuple) -> np.ndarray:
+    """Solutions of every unit's ``(p*I - a[u]) @ x = drive`` at every probe ``p``,
+    shape ``(units, probes, n)``, from the units' :func:`_reduce` ``rows = [-H | c]``
+    and ``Q``.  Up to two modes, where ``H = a[u]``, ``c = drive`` and ``Q = I``, the
+    adjugate solves them in ``work``, arrays every chunk reuses: the diagonals and
+    ``det(M)``, mode-major, then the solutions, which the result views.  From three
+    modes :func:`_eliminate` solves each probe.  A system with no trustworthy
+    solution is refused naming its probe."""
+    n, units = len(q), q.shape[-1]
     if n <= _ADJUGATE_MAX_MODES:
-        entries, x = work[0][:, :len(scales), :probes.size], work[1][:len(scales), :probes.size]
-        rows = [[-a[j, k] for k in range(n)] + [network.drive[j]] for j in range(n)]
-        diagonal = probes.astype(complex)  # the same bits as the cast a float - complex makes
+        entries, x = work[0][:, :units, :probes.size], work[1][:units, :probes.size]
+        diagonal = probes.astype(complex)  # the same bits as the cast a float + complex makes
+        # [p*I - H | c] by broadcasting; Q = I, so c is the drive: one number a row
+        m = [[rows[j, k, :, None] for k in range(n)] + [rows[j, n, 0]] for j in range(n)]
         for j in range(n):
-            rows[j][j] = np.subtract(diagonal, (a[j, j] + shifts[:, j])[:, None], out=entries[j])
-        if n == 2 and network.emitter_mask.any():  # M is symmetric: one column serves both
-            rows[0][1] = rows[1][0] = (-a[0, 1] * scales)[:, None]
+            m[j][j] = np.add(diagonal, m[j][j], out=entries[j])
         with np.errstate(all="ignore"):  # a singular system is refused below
-            det, _ = _adjugate(rows, entries[-1], *x.transpose(2, 0, 1))
+            det, _ = _adjugate(m, entries[-1], *x.transpose(2, 0, 1))
         size = np.abs(det)  # steady_state's test: a NaN fails both bounds
         x[~((_TINY <= size) & (size < math.inf))] = np.nan
         parts = x.view(float)
     else:
         with np.errstate(all="ignore"):  # a zero pivot or an overflow is refused below
-            modal = _eliminate(*work, probes)
+            modal = _eliminate(rows, q, probes)
         parts, x = modal.view(float), np.moveaxis(modal, 0, -1)
     if not (-math.inf < parts.min() and parts.max() < math.inf):  # a NaN fails both
         bad = probes[np.isfinite(x).all(axis=-1).argmin() % probes.size]
@@ -452,29 +446,29 @@ def _solve(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray, probes:
 
 def _reduce(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray,
             out: np.ndarray) -> tuple:
-    """Every unit's ``a[u]`` (see :func:`_solve`) reduced to upper Hessenberg form ``H =
-    Q^H a[u] Q`` by Householder reflectors, batched over units (Laub, IEEE Trans.
-    Automat. Control 26, 1981, 407): ``-H`` with ``c = Q^H drive`` appended as column
-    ``n``, shape ``(n, n + 1, units)``, and ``Q``, ``(n, n, units)``, both views of
-    ``out``, shape ``(2n, n + 1, >= units)``.  Every sum runs over a Python loop of
-    elementwise ufuncs, with no BLAS call, so a unit's bits do not depend on the
-    units beside it.  Entries below the subdiagonal are left as rounding made them
-    and never read.  Entries near the largest double may overflow here, and the
-    solve refuses what that leaves non-finite."""
+    """Every unit's ``a[u]``, ``network.matrix`` with its diagonal shifted by ``shifts[u]``
+    and every coupling that touches an emitter scaled by ``scales[u]``, reduced to upper
+    Hessenberg form ``H = Q^H a[u] Q`` by Householder reflectors, none below three modes,
+    batched over units (Laub, 1981): ``-H`` with ``c = Q^H drive`` appended as column ``n``,
+    ``(n, n + 1, units)``, and ``Q``, ``(n, n, units)``, views of the C-contiguous ``out``,
+    ``(2n, n + 1, >= units)``.  Every sum is a Python loop of elementwise ufuncs, with no
+    BLAS call, so a unit's bits do not depend on the units beside it.  Entries below the
+    subdiagonal are left as rounding made them and never read.  Entries near the largest
+    double may overflow here, and the solve refuses what that leaves non-finite."""
     a = network.matrix
     n, units = len(a), len(scales)
     hq = out[..., :units]  # H's rows over Q's: P acts on both
     h, q = hq[:n], hq[n:, :n]
-    q[...] = 0.0
     h[:, :n] = a[:, :, None]
     h[:, n] = network.drive[:, None]
+    q[...] = np.eye(n)[:, :, None]
+    # a shift moves a frequency, the real part of H's diagonal, which is every (n + 2)th
+    # entry of its rows (a float added to a complex leaves -decay as it is)
+    out[:n].reshape(n * (n + 1), -1)[::n + 2, :units].real += shifts.T
     emitter = network.emitter_mask
     scaled = np.logical_or.outer(emitter, emitter)
     np.fill_diagonal(scaled, False)
-    h[:, :n][scaled] = network.couplings[scaled][:, None] * scales
-    modes = np.arange(n)
-    h[modes, modes] += shifts.T
-    q[modes, modes] = 1.0
+    h[:, :n].real[scaled] = network.couplings[scaled][:, None] * scales
     with np.errstate(all="ignore"):  # an overflow is refused by _solve
         for k in range(n - 2):
             m = n - k - 1
@@ -502,7 +496,7 @@ def _reduce(network: ModeNetwork, shifts: np.ndarray, scales: np.ndarray,
                 z += hq[:, k + 1 + j] * v[j]
             z *= beta
             hq[:, k + 1:n] -= z[:, None] * u
-    np.negative(h[:, :n], out=h[:, :n])
+    np.negative(h[:, :n].view(float), out=h[:, :n].view(float))  # faster than complex
     return h, q
 
 

@@ -596,18 +596,16 @@ def lossy_component_identify(
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _spectrum_header(labels: Sequence[str]) -> list:
+    """The header of a spectrum CSV: ``probe_mhz``, then five channels a label."""
+    channels = ("re", "im", "magnitude", "excitation", "phase_unwrapped_rad")
+    return ["probe_mhz"] + [f"{lab}_{channel}" for lab in labels for channel in channels]
+
+
 def write_spectrum_csv(spectrum: ComplexSpectrum, path: str | Path) -> None:
     """Write the spectrum with all derived channels, one row per probe;
     :func:`read_spectrum_csv` reads the complex amplitudes back exactly."""
-    header = ["probe_mhz"]
-    for lab in spectrum.labels:
-        header += [
-            f"{lab}_re",
-            f"{lab}_im",
-            f"{lab}_magnitude",
-            f"{lab}_excitation",
-            f"{lab}_phase_unwrapped_rad",
-        ]
+    header = _spectrum_header(spectrum.labels)
     cols = [spectrum.probes]
     for lab in spectrum.labels:
         col = spectrum.column(lab)
@@ -622,13 +620,15 @@ def write_spectrum_csv(spectrum: ComplexSpectrum, path: str | Path) -> None:
 
 
 def read_spectrum_csv(path: str | Path) -> ComplexSpectrum:
-    """Read a spectrum CSV back.  Every row must hold as many fields as the
-    header, and ``probe_mhz`` needs 2 or more rows, each within ``_PROBE_TOL``
-    steps of the uniform grid from the first probe to the last."""
+    """Read a spectrum CSV back.  The header must be one :func:`write_spectrum_csv`
+    writes, with non-empty labels, every row must hold as many fields as the header,
+    and ``probe_mhz`` needs 2 or more rows, each within ``_PROBE_TOL`` steps of the
+    uniform grid from the first probe to the last."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [""])  # an empty file has an unrecognised header
-        if header[0] != "probe_mhz" or (len(header) - 1) % 5 != 0:
+        labels = tuple(h[: -len("_re")] for h in header[1::5])
+        if header != _spectrum_header(labels) or "" in labels:
             raise ValueError(f"unrecognised spectrum CSV header: {header[:6]}...")
         rows = []
         for row in filter(None, reader):  # blank lines skipped
@@ -638,7 +638,6 @@ def read_spectrum_csv(path: str | Path) -> ComplexSpectrum:
             rows.append([float(v) for v in row])
     if len(rows) < 2:
         raise ValueError(f"probe_mhz must hold at least 2 rows, got {len(rows)}")
-    labels = tuple(h[: -len("_re")] for h in header[1::5])
     data = np.asarray(rows)
     probes = data[:, 0]
     grid = ProbeGrid(start=float(probes[0]), stop=float(probes[-1]), points=len(probes))

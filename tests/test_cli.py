@@ -690,6 +690,35 @@ def test_malformed_config_is_rejected(tmp_path):
     assert code == 2
 
 
+def test_a_config_that_cannot_be_read_exits_2_naming_it(tmp_path):
+    code, err = run_cli_stderr("spectrum", "--config", str(tmp_path), "--out",
+                               str(tmp_path / "x"))
+    assert code == 2 and str(tmp_path) in err and "Traceback" not in err
+
+
+def test_an_out_path_that_is_a_file_exits_2_naming_it(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        code, err = run_cli_stderr("spectrum", "--out", str(out))
+        assert code == 2 and str(out) in err
+    assert taken.read_text() == ""
+
+
+def test_a_network_file_that_cannot_be_read_exits_2_naming_it(tmp_path, monkeypatch):
+    # as root every regular file is readable, so the read itself is made to fail
+    path = tmp_path / "net.json"
+    save_network(emitter_resonator(), path)
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli_module, "load_network", denied)
+    cfg = write_config(tmp_path, {"network": str(path)})
+    code, err = run_cli_stderr("spectrum", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert code == 2 and str(path) in err and "Permission denied" in err
+
+
 @pytest.mark.parametrize("command, text, field", [
     ("spectrum", '{"grid": {"points": 101.5}}', "points"),
     ("spectrum", '{"grid": {"start": "a"}}', "start"),

@@ -28,6 +28,7 @@ from antires.network import (
     steady_state_family,
 )
 from antires.presets import emitter_resonator, five_node_demo
+from antires.spectra import MotionEnsemble
 
 from helpers import dense_mode_matrix, random_network, traced_peak, two_mode_network
 
@@ -249,6 +250,20 @@ def test_single_solve_bit_equals_its_batch_row(case):
         coupling_wins = [abs(net.couplings[0, 1]) > abs(p - net.frequencies[0]) + net.decays[0]
                          for p in probes[:2]]
         assert coupling_wins == [True, False]
+    batch = steady_state_batch(net, probes)
+    for k, probe in enumerate(probes):
+        assert steady_state(net, probe).amplitudes.tobytes() == batch[k].tobytes()
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0])
+@pytest.mark.parametrize("frequencies", [(0.0, 0.0), (1.0, -2.0)])
+def test_a_decoupled_emitter_pair_gives_its_single_solves_signed_zeros(g, frequencies):
+    # the undriven mode's amplitude is exactly zero; its sign comes from the coupling
+    # entry, which a batch must build as the single solve does, -A[0, 1]
+    modes = tuple(Mode(label, kind, f, 1.0) for label, kind, f
+                  in zip(("cavity", "atom"), ("resonator", "emitter"), frequencies))
+    net = ModeNetwork(modes, np.array([[0.0, g], [g, 0.0]]), np.array([-0.5j, 0.0]))
+    probes = np.array([0.5, -2.0, 0.0])
     batch = steady_state_batch(net, probes)
     for k, probe in enumerate(probes):
         assert steady_state(net, probe).amplitudes.tobytes() == batch[k].tobytes()
@@ -718,17 +733,26 @@ def test_family_working_set_is_bounded_over_probes():
         assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19
 
 
-@pytest.mark.parametrize("n", [3, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_family_of_many_units_holds_its_reductions_to_the_bound(monkeypatch, n):
-    # from three modes every unit is reduced to Hessenberg form once, a block of
-    # units at a time: 4,000 one-probe units (the Stark scan's shape) need many
-    # blocks, 600 units of three probes and 64 of 301 fewer, in chunks of units.
-    # Every block gives the bits of one block of all units
-    net = random_network(np.random.default_rng(n), n)
-    assert network_module._unit_bytes(n)[0] * 4000 > 3 * network_module._CHUNK_BYTES
-    for copies, members, points in ((4000, 1, 1), (300, 2, 3), (64, 1, 301)):
-        shifts, scales = _family_inputs(net, copies, members)
-        probes = np.linspace(-5.0, 5.0, points)
+    # every unit is reduced once, a block of units at a time: one-probe units for
+    # four blocks, 300 copies of two members of three probes and 64 units of 301
+    # need fewer, in chunks of units.  At two modes the Stark scan's family too: the
+    # preset pair, 61 copies of MotionEnsemble()'s 512 members and one probe, whose
+    # copies share the member scales as a broadcast view.  Every block gives the bits
+    # of one block of all units
+    net = {1: _one_mode, 2: emitter_resonator}.get(
+        n, lambda: random_network(np.random.default_rng(n), n))()
+    many = 4 * network_module._CHUNK_BYTES // network_module._unit_bytes(n)[0]
+    families = [(*_family_inputs(net, copies, members), np.linspace(-5.0, 5.0, points))
+                for copies, members, points in ((many, 1, 1), (300, 2, 3), (64, 1, 301))]
+    if n == 2:
+        scales, shifts = MotionEnsemble().members(net)
+        offsets = np.zeros((61, n))
+        offsets[:, net.index("atom")] = np.linspace(-20.0, 20.0, 61)
+        families.append((offsets[:, None] + shifts[None], np.broadcast_to(scales, (61, 512)),
+                         np.array([0.0])))
+    for shifts, scales, probes in families:
         steady_state_family(net, shifts[:2], scales[:2], probes)  # first-call allocations
         result, peak = traced_peak(lambda: steady_state_family(net, shifts, scales, probes))
         assert peak <= result.nbytes + network_module._CHUNK_BYTES + 2**19

@@ -715,6 +715,25 @@ def test_spectrum_csv_reader_refuses_a_row_unlike_its_header(tmp_path, bad_row):
         read_spectrum_csv(path)
 
 
+@pytest.mark.parametrize("header", [
+    pytest.param("probe_mhz,x_im,x_re,x_magnitude,x_excitation,x_phase_unwrapped_rad",
+                 id="re-im-swapped"),
+    pytest.param("probe_mhz,a,b,c,d,e", id="unnamed-channels"),
+    pytest.param("probe_mhz,_re,_im,_magnitude,_excitation,_phase_unwrapped_rad",
+                 id="empty-label"),
+    pytest.param("probe_mhz,x_re,x_im,x_magnitude,x_excitation,y_phase_unwrapped_rad",
+                 id="two-labels-in-one-group"),
+    pytest.param("time_s,x_re,x_im,x_magnitude,x_excitation,x_phase_unwrapped_rad",
+                 id="no-probe-column"),
+])
+def test_spectrum_csv_reader_refuses_a_header_its_writer_does_not_write(tmp_path, header):
+    path = _one_channel_csv(tmp_path / "spec.csv", [0.0, 0.5, 1.0])
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join([header, *lines[1:]]))
+    with pytest.raises(ValueError, match="header"):
+        read_spectrum_csv(path)
+
+
 def test_spectrum_csv_reader_refuses_an_empty_file(tmp_path):
     path = tmp_path / "spec.csv"
     path.write_text("")
