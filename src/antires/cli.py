@@ -218,8 +218,9 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 def _preset(name: str, params: dict) -> ModeNetwork:
     try:
         return NETWORK_PRESETS[name](**params)
-    except (TypeError, InvalidNetworkError) as exc:
-        raise ConfigError(f"bad network_params for preset {name!r}: {exc}")
+    # a KeyError is a drive label the preset has no mode for; its str() is quoted
+    except (TypeError, KeyError, InvalidNetworkError) as exc:
+        raise ConfigError(f"bad network_params for preset {name!r}: {exc.args[0]}")
 
 
 def _resolve_network(options: dict) -> ModeNetwork:
@@ -244,14 +245,7 @@ def _ensemble_from(options: dict, seed: int) -> MotionEnsemble | None:
     """The config's motion ensemble, or None (a still emitter) when it is disabled."""
     if not options["enabled"]:
         return None
-    return MotionEnsemble(
-        scale_mean=options["scale_mean"],
-        scale_sigma=options["scale_sigma"],
-        scale_bounds=tuple(options["scale_bounds"]),
-        frequency_jitter=options["frequency_jitter"],
-        samples=options["samples"],
-        seed=seed,
-    )
+    return MotionEnsemble(**{k: v for k, v in options.items() if k != "enabled"}, seed=seed)
 
 
 def _config_range(key: str, start: float, stop: float, points: int) -> np.ndarray:
@@ -457,25 +451,21 @@ def cmd_characterize(cfg: ScenarioConfig) -> int:
     try:
         verdict = lossy_component_identify(net, rel_tol=opts["rel_tol"])
     except AmbiguityError as exc:
-        for lab in sorted(exc.widths, key=exc.widths.get):
-            print(f"  drive {lab:>6}: {exc.widths[lab]:8.4f} MHz")
-        print(f"AMBIGUOUS: tied candidates {exc.candidates}")
-        report["ambiguous_candidates"] = list(exc.candidates)
-        report["mean_half_widths_mhz"] = exc.widths
-        write_json(report, cfg.out_dir / "characterize_report.json")
-        print(f"wrote {cfg.out_dir / 'characterize_report.json'}")
-        return 3
+        lossiest, widths, tied = None, exc.widths, exc.candidates
+        report["ambiguous_candidates"] = list(tied)
+        report["mean_half_widths_mhz"] = widths
+    else:
+        lossiest, widths = verdict.label, verdict.mean_widths
+        report["verdict"] = {"lossiest": lossiest, "mean_half_widths_mhz": widths}
 
-    for lab in sorted(verdict.mean_widths, key=verdict.mean_widths.get):
-        marker = "  <-- lossiest" if lab == verdict.label else ""
-        print(f"  drive {lab:>6}: {verdict.mean_widths[lab]:8.4f} MHz{marker}")
-    report["verdict"] = {
-        "lossiest": verdict.label,
-        "mean_half_widths_mhz": verdict.mean_widths,
-    }
+    for lab in sorted(widths, key=widths.get):
+        marker = "  <-- lossiest" if lab == lossiest else ""
+        print(f"  drive {lab:>6}: {widths[lab]:8.4f} MHz{marker}")
+    if lossiest is None:
+        print(f"AMBIGUOUS: tied candidates {tied}")
     write_json(report, cfg.out_dir / "characterize_report.json")
     print(f"wrote {cfg.out_dir / 'characterize_report.json'}")
-    return 0
+    return 3 if lossiest is None else 0
 
 
 def cmd_oracle_check(cfg: ScenarioConfig) -> int:

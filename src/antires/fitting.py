@@ -87,12 +87,11 @@ def fit_nlls(
     model_name: str = "custom",
     max_iter: int = 200,
     tol: float = 1e-10,
-    lambda0: float = 1e-3,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FitResult:
     """Levenberg-Marquardt fit of ``model(params, x)`` to ``y``.
 
-    The damping parameter starts at ``lambda0``, is divided by 10 on every
+    The damping parameter starts at 1e-3, is divided by 10 on every
     accepted step and multiplied by 10 on every rejected one.  Convergence
     requires both the relative step size and the relative cost decrease to
     drop below ``tol``.  ``weights`` multiply the residuals (1/sigma);
@@ -123,7 +122,7 @@ def fit_nlls(
         return float(r @ r), r
 
     cost, resid = cost_of(p)
-    lam = lambda0
+    lam = 1e-3
     trace: list[dict] = []
     converged = False
     it = 0
@@ -250,7 +249,6 @@ class ArctanPhaseFit:
 def fit_arctan_phase(
     x: np.ndarray,
     phase_deg: np.ndarray,
-    uncertainties: np.ndarray | None = None,
     *,
     background: str = "none",
 ) -> ArctanPhaseFit:
@@ -279,8 +277,6 @@ def fit_arctan_phase(
         raise ValueError(f"background must be 'none' or 'linear', got {background!r}")
     if dx[0] < 0:  # work on an ascending axis
         x, phase = x[::-1].copy(), phase[::-1].copy()
-        if uncertainties is not None:
-            uncertainties = np.asarray(uncertainties, dtype=float)[::-1]
 
     span_x = x[-1] - x[0]
     # initial estimates: step center at the steepest slope of a lightly
@@ -315,10 +311,7 @@ def fit_arctan_phase(
         return phase + tilt[0] * (t - c) if tilt else phase
 
     p0 = [center0, width0, swing0, offset0] + ([0.0] if background == "linear" else [])
-    weights = None if uncertainties is None else 1.0 / np.asarray(uncertainties, dtype=float)
-    result = fit_nlls(
-        model, p0, x, phase, weights, model_name="arctan_phase", project=project
-    )
+    result = fit_nlls(model, p0, x, phase, model_name="arctan_phase", project=project)
 
     warnings: list[str] = []
     core = np.abs(x - result.params[0]) <= max(result.params[1], width0)

@@ -25,8 +25,8 @@ below three modes ``H = A``, ``Q = I``).  :func:`_solve` takes the block in
 chunks of units x probes under 1 MiB: up to two modes by the adjugate, ``x =
 adj(M) @ b / det(M)``, and from three by :func:`_eliminate`, ``(p*I - H) y = Q^H
 b`` with pivoting between neighbouring rows, O(n^2) a probe, then ``x = Q y``.
-A single :func:`steady_state` is that pipeline on one system, or up to two
-modes the same adjugate on numpy scalars; either way it gives a batch's bits.
+A single :func:`steady_state` is a one-probe :func:`steady_state_batch`, or up to
+two modes the same adjugate on numpy scalars; either way it gives a batch's bits.
 """
 
 from __future__ import annotations
@@ -226,7 +226,12 @@ class ModeNetwork:
         return self.labels[self._driven]
 
     def with_drive_on(self, label: str, amplitude: complex = 1.0) -> "ModeNetwork":
-        """Copy of the network driven only on ``label`` with ``amplitude``."""
+        """Copy of the network driven only on ``label`` with ``amplitude``, a finite
+        int, float or complex (numpy's too, never a bool or a string)."""
+        if not (_finite_real(amplitude) or (isinstance(amplitude, (complex, np.complexfloating))
+                                            and cmath.isfinite(amplitude))):
+            raise InvalidNetworkError(f"drive amplitude on {label!r} must be a finite int, "
+                                      f"float or complex, got {amplitude!r}")
         d = np.zeros(len(self), dtype=complex)
         d[self.index(label)] = amplitude
         return replace(self, drive=d)
@@ -281,8 +286,7 @@ class SteadyState:
 def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
     """Solve M(probe) @ a = drive for the complex mode amplitudes.
 
-    The one-member, one-probe case of :func:`steady_state_family`: its
-    :func:`_reduce` and :func:`_solve` on one system, except that up to two
+    The one-probe row of :func:`steady_state_batch`, except that up to two
     modes it runs the same adjugate on numpy scalars, for the same bits.
     """
     network.driven_label()  # validates the drive is not identically zero
@@ -303,9 +307,7 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
             raise SingularResponseError(f"singular response matrix at probe={probe}")
         amps = np.array(x)
     else:
-        reduced = _reduce(network, np.zeros((1, n)), np.ones(1),
-                          np.empty((2 * n, n + 1, 1), dtype=complex))
-        amps = _solve(*reduced, np.array([probe]), ())[0, 0]
+        amps = steady_state_batch(network, [probe])[0]
     return SteadyState(probe=probe, labels=network.labels, amplitudes=amps)
 
 

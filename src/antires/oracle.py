@@ -46,7 +46,10 @@ Cutoff choice: the population ``P(n = c)`` of a resonator's top level at
 cutoff ``c`` measures what the truncation drops.  :func:`lindblad_steady_state`
 solves the pair at its starting cutoff and keeps that state once the tail
 ``c P(n = c) / <n>`` is below a tolerance (1e-4); otherwise it solves once
-more at ``ceil(1.5 c)``, up to a largest cutoff (40).
+more at ``ceil(1.5 c)``, up to a largest cutoff (40).  The tail is an
+estimate, not a bound: over the bench's strong-drive grid the ``<n>`` error
+against a cutoff-40 solve reached 17 times it (4.3e-4 against a tail of
+2.5e-5, at eta/kappa = 3.5 on the antiresonance).
 
 Size guard: before any state is listed, the block sizes are counted from
 each mode's excitation histogram.  A network whose largest block would be
@@ -474,7 +477,8 @@ def lindblad_steady_state(
 ) -> OracleResult:
     """Field moments at a photon cutoff chosen from the state's own tail.
 
-    Each rung solves once at cutoff ``c``, starting from ``params.cutoff``.
+    Each rung solves once at cutoff ``c``, starting from ``params.cutoff``,
+    which must be below ``max_cutoff`` (a ValueError naming both otherwise).
     The population ``P(n = c)`` of the top photon level measures what the
     truncation drops, so the rung is kept once the tail ``c P(n = c) / <n>``
     is below ``rel_tol``; otherwise the next rung is at
@@ -484,7 +488,9 @@ def lindblad_steady_state(
     photons, or so few that ``<n>^2`` underflows (g2 has no meaning, or no
     float value, there).
     """
-    max_cutoff = _count("max_cutoff", max_cutoff, params.cutoff + 1)  # above the start
+    max_cutoff = _count("max_cutoff", max_cutoff, 1)
+    if params.cutoff >= max_cutoff:
+        raise ValueError(f"cutoff {params.cutoff} must be below max_cutoff {max_cutoff}")
     _real("rel_tol", rel_tol, 0.0, strict=True)  # <= 0 never converges; inf checks nothing
     network = params.network
     cavity = network.index("cavity")

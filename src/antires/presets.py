@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import Mode, ModeNetwork
+from .network import Mode, ModeNetwork, _real
 
 # (power_nw, detuning_mhz) calibration anchors for the light-shift scan
 STARK_CALIBRATION_POINTS: tuple[tuple[float, float], ...] = (
@@ -34,6 +34,7 @@ def emitter_resonator(
         Mode(label="cavity", kind="resonator", frequency=0.0, decay=kappa),
         Mode(label="atom", kind="emitter", frequency=delta_er, decay=gamma),
     )
+    coupling = _real("coupling", coupling)
     couplings = np.array([[0.0, coupling], [coupling, 0.0]])
     net = ModeNetwork(modes=modes, couplings=couplings, drive=np.zeros(2, dtype=complex))
     return net.with_drive_on(drive, eta)
@@ -52,6 +53,7 @@ def five_node_demo(lossy: str = "n3", decay_scale: float = 10.0) -> ModeNetwork:
         raise ValueError(f"lossy must be one of {labels}, got {lossy!r}")
     freqs = (-14.0, -6.0, 0.0, 7.0, 15.0)
     base = 0.6
+    decay_scale = _real("decay_scale", decay_scale)
     modes = tuple(
         Mode(
             label=lab,

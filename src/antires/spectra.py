@@ -111,13 +111,11 @@ class AntiresonanceZero:
     at_boundary: bool = False
 
 
-def _group_eigenvalues(
-    values: np.ndarray, tol: float = 1e-6
-) -> list[tuple[float, float, int]]:
+def _group_eigenvalues(values: np.ndarray) -> list[tuple[float, float, int]]:
     """``(center, half_width, multiplicity)`` by ascending center.
 
     Values are visited in (center, half_width) order, and each joins the
-    first group whose leading value is within ``tol`` in both, so the
+    first group whose leading value is within 1e-6 in both, so the
     groups do not depend on the order of ``values``.
     """
     order = np.lexsort((-values.imag, values.real))
@@ -125,7 +123,7 @@ def _group_eigenvalues(
     for z in values[order]:
         c, w = float(z.real), float(-z.imag)
         for g in grouped:
-            if abs(g[0] - c) <= tol and abs(g[1] - w) <= tol:
+            if abs(g[0] - c) <= 1e-6 and abs(g[1] - w) <= 1e-6:
                 g[2] += 1
                 break
         else:
@@ -257,24 +255,19 @@ def _doubling_halfwidth(probes: np.ndarray, excitation: np.ndarray, i: int) -> f
     return float(min(offsets)) if offsets else None
 
 
-def _rational_zero_refine(
-    probes: np.ndarray,
-    column: np.ndarray,
-    center0: float,
-    width0: float,
-    span_factor: float = 2.0,
-) -> tuple[float, float] | None:
+def _rational_zero_refine(probes: np.ndarray, column: np.ndarray, center0: float,
+                          width0: float) -> tuple[float, float] | None:
     """Refine (center, half_width) with a local degree-[2/2] rational fit.
 
-    Within a window of a few half-widths the driven response is accurately
-    ``(n0 + n1 x + n2 x^2) / (1 + d1 x + d2 x^2)`` with ``x`` the probe
+    Within two half-widths ``width0`` of ``center0`` the driven response is
+    accurately ``(n0 + n1 x + n2 x^2) / (1 + d1 x + d2 x^2)`` with ``x`` the probe
     offset from the crude center.  Multiplying through by the denominator
     turns this into a *linear* least-squares problem for the five
     coefficients; the zero is the numerator root nearest the window center.
     Exact for two-mode networks, and pole contamination stays quadratic
     rather than biasing the extracted width as interval rules do.
     """
-    mask = np.abs(probes - center0) <= span_factor * width0
+    mask = np.abs(probes - center0) <= 2.0 * width0
     if mask.sum() < 7:
         # widen to the 7 nearest grid points so the system stays overdetermined
         idx = np.argsort(np.abs(probes - center0))[:7]
@@ -425,9 +418,11 @@ class MotionEnsemble:
         _real("scale_mean", self.scale_mean)
         _real("scale_sigma", self.scale_sigma, 0.0)
         _real("frequency_jitter", self.frequency_jitter, 0.0)
-        if len(self.scale_bounds) != 2:
-            raise ValueError(f"scale_bounds must hold two numbers, got {self.scale_bounds!r}")
-        lo, hi = (_real("scale_bounds", bound) for bound in self.scale_bounds)
+        bounds = tuple(self.scale_bounds)  # a list too, stored as the hashable tuple
+        if len(bounds) != 2:
+            raise ValueError(f"scale_bounds must hold two numbers, got {bounds!r}")
+        lo, hi = (_real("scale_bounds", bound) for bound in bounds)
+        object.__setattr__(self, "scale_bounds", bounds)
         if not (0.0 < lo < hi <= 1.0):
             raise ValueError(
                 f"scale_bounds must satisfy 0 < lo < hi <= 1 (a coupling can only be "
@@ -461,9 +456,8 @@ class MotionEnsemble:
                 scale = rng.normal(self.scale_mean, self.scale_sigma)
                 if lo < scale <= hi:
                     break
-        if self.frequency_jitter:
-            return scale, rng.normal(0.0, self.frequency_jitter, size=emitters)
-        return scale, np.zeros(emitters)
+        # the last draw: with no jitter it is exactly +0.0, 0.0 + 0.0 * z
+        return scale, rng.normal(0.0, self.frequency_jitter, size=emitters)
 
     def members(self, network: ModeNetwork) -> tuple[np.ndarray, np.ndarray]:
         """Coupling scales ``(samples,)`` and frequency shifts ``(samples, N)``
@@ -507,14 +501,15 @@ def ensemble_mean_family(
     same ensemble draws.  The ensemble is the member axis of one
     :func:`steady_state_family` call, which sums members in order: the
     result is bit-identical to averaging the members one by one.  With no
-    ensemble each copy is its one unperturbed member.
+    ensemble each copy is its one still member: scale 1, no shift.
     """
     offsets = np.asarray(freq_offsets, dtype=float)
     if ensemble is None:
-        return steady_state_family(network, offsets[:, None], np.ones((len(offsets), 1)), probes)
-    scales, shifts = ensemble.members(network)
+        scales, shifts = np.ones(1), np.zeros((1, len(network)))
+    else:
+        scales, shifts = ensemble.members(network)
     family_scales = np.broadcast_to(scales, (len(offsets), scales.size))
-    return steady_state_family(network, offsets[:, None] + shifts[None], family_scales, probes)
+    return steady_state_family(network, offsets[:, None] + shifts, family_scales, probes)
 
 
 def sweep(

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import antires
@@ -31,7 +31,7 @@ from antires.network import (
     steady_state,
 )
 from antires.oracle import CutoffConvergenceError, DensityMatrixError, JCParams, linear_limit_check
-from antires.presets import emitter_resonator
+from antires.presets import NETWORK_PRESETS, emitter_resonator
 from antires.spectra import (
     MotionEnsemble,
     detect_antiresonances_numeric,
@@ -423,6 +423,26 @@ def test_characterize_ambiguous_network_exits_3(tmp_path):
     assert "verdict" not in report
 
 
+def test_a_motion_section_builds_the_ensemble_its_keywords_build(tmp_path, monkeypatch):
+    section = {"enabled": True, "scale_mean": 0.7, "scale_sigma": 0.1,
+               "scale_bounds": [0.55, 0.95], "frequency_jitter": 0.5, "samples": 3}
+    defaults = DEFAULTS["spectrum"]["motion"]
+    assert set(section) == set(defaults)
+    assert all(section[key] != defaults[key] for key in section)
+    built = []
+
+    def recorded(net, grid, ensemble):
+        built.append(ensemble)
+        return sweep(net, grid, ensemble)
+
+    monkeypatch.setattr(cli_module, "sweep", recorded)
+    cfg = write_config(tmp_path, {"grid": {"points": 201}, "motion": section})
+    code, _ = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "11")
+    assert code == 0
+    assert built == [MotionEnsemble(scale_mean=0.7, scale_sigma=0.1, scale_bounds=(0.55, 0.95),
+                                    frequency_jitter=0.5, samples=3, seed=11)]
+
+
 # ------------------------------------------------------------ oracle-check
 
 
@@ -759,6 +779,18 @@ def test_a_network_file_that_cannot_be_read_exits_2_naming_it(tmp_path, monkeypa
     ("spectrum", '{"motion": {"enabled": true, "scale_mean": NaN, "scale_sigma": 0.0}}',
      "scale_mean"),
     ("oracle-check", '{"eta_over_kappa": [NaN]}', "eta_over_kappa"),
+    # preset parameters: numpy took "1" and "1+2j" as complex numbers and a bool as
+    # 1.0, and an unknown drive label was a KeyError with a traceback
+    *[(command, '{"network_params": {"drive": "nobody"}}', "no mode labelled 'nobody'")
+      for command in ("spectrum", "scan2d", "stark-scan", "heterodyne-demo")],
+    ("spectrum", '{"network_params": {"eta": "1"}}', "drive amplitude on 'cavity'"),
+    ("spectrum", '{"network_params": {"eta": "1+2j"}}', "got '1+2j'"),
+    ("spectrum", '{"network_params": {"eta": true}}', "drive amplitude on 'cavity'"),
+    ("spectrum", '{"network_params": {"eta": "x"}}', "got 'x'"),
+    ("spectrum", '{"network_params": {"coupling": true}}', "coupling"),
+    ("characterize", '{"network_params": {"decay_scale": true}}', "decay_scale"),
+    ("oracle-check", '{"cutoff": 40}', "cutoff 40 must be below max_cutoff 40"),
+    ("oracle-check", '{"cutoff": 1000}', "cutoff 1000 must be below max_cutoff 40"),
     pytest.param("spectrum", '{"grid": {"start": 1%s}}' % ("0" * 400), "start",
                  id="spectrum-401-digit-start"),
     pytest.param("spectrum", '{"network": "bad_network.json"}', "couplings",
@@ -813,7 +845,23 @@ _SMALL_RUNS = {
     "oracle-check": {"eta_over_kappa": [0.1, 0.01]},
     "heterodyne-demo": {"probe_points": [0.0, 6.0], "windows": 40},
 }
-_CONFIG_LEAVES = [(command, path) for command in DEFAULTS for path in _leaves(DEFAULTS[command])]
+
+
+def _preset_leaves(command):
+    """A ``network_params`` leaf for each parameter of the preset ``command`` builds;
+    scan2d and stark-scan set ``delta_er`` themselves and refuse it by design."""
+    options = DEFAULTS[command]
+    if "network_params" not in options:
+        return []
+    preset = NETWORK_PRESETS[options.get("network", "emitter-resonator")]
+    refused = ("delta_er",) if command in ("scan2d", "stark-scan") else ()
+    return [("network_params", name) for name in inspect.signature(preset).parameters
+            if name not in refused]
+
+
+_CONFIG_LEAVES = list(dict.fromkeys(  # heterodyne-demo's delta_er is a default leaf too
+    (command, path) for command in DEFAULTS
+    for path in [*_leaves(DEFAULTS[command]), *_preset_leaves(command)]))
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 1) | st.floats(-1.0, 1.0)
     | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3),
@@ -826,6 +874,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(leaf=st.sampled_from(_CONFIG_LEAVES), value=_JSON_VALUES)
+@example(leaf=("spectrum", ("network_params", "drive")), value="")  # an unknown drive label
 def test_any_json_value_in_any_config_leaf_ends_in_an_exit_code(tmp_path, leaf, value):
     command, path = leaf
     config = copy.deepcopy(_SMALL_RUNS[command])

@@ -563,6 +563,19 @@ def test_scale_bounds_validation():
             MotionEnsemble(seed=seed)
 
 
+def test_a_list_of_scale_bounds_is_stored_as_a_hashable_tuple():
+    ens = MotionEnsemble(scale_bounds=[0.6, 0.9])
+    assert ens.scale_bounds == (0.6, 0.9) and type(ens.scale_bounds) is tuple
+    assert hash(ens) == hash(MotionEnsemble(scale_bounds=(0.6, 0.9)))
+    assert ens == MotionEnsemble(scale_bounds=(0.6, 0.9))
+
+
+def test_a_zero_jitter_member_has_exactly_positive_zero_shifts():
+    net = emitter_resonator()
+    _, shifts = MotionEnsemble(frequency_jitter=0.0, samples=64, seed=5).members(net)
+    assert not shifts.any() and not np.signbit(shifts).any()
+
+
 def test_draw_is_member_k_of_the_family_arrays():
     net = emitter_resonator()
     ens = MotionEnsemble(samples=16, seed=9)
