@@ -57,8 +57,6 @@ from .heterodyne import (
     PhaseHistogram,
     accumulate_histogram,
     circular_mean,
-    demodulate,
-    iq_windows,
     synthesize,
     write_trace_csv,
 )

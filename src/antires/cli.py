@@ -578,9 +578,9 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         system, reference = phases(field_sys, point_beat, k, 0), phases(field_ref, point_beat, k, 1)
         if k == 0:
             # not one of the estimated windows: a single synthesized window
-            # whose seed is drawn from the (seed, 0, 0) stream
-            trace_seed = int(np.random.SeedSequence((cfg.seed, 0, 0)).generate_state(1)[0])
-            write_trace_csv(synthesize(field_sys, replace(point_beat, seed=trace_seed)), beat,
+            # drawn from probe 0's third channel
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 2)))
+            write_trace_csv(synthesize(field_sys, point_beat, 1, rng), beat,
                             cfg.out_dir / "trace_example.csv")
         est = circular_mean(system, reference)
         err = max(est.mean_err_deg, MIN_MEAN_ERR_DEG)
@@ -595,7 +595,8 @@ def cmd_heterodyne_demo(cfg: ScenarioConfig) -> int:
         cfg.out_dir / "heterodyne_histograms.csv",
         ["probe_mhz", "bin_center_deg", "count", "normalized"],
         [np.repeat(probe_points, bins), np.ravel([h.centers for h in hists]),
-         np.ravel([h.counts for h in hists]), np.ravel([h.normalized() for h in hists])],
+         np.ravel([h.counts for h in hists]),
+         np.ravel([h.counts / h.counts.max() for h in hists])],
     )
 
     report = {

@@ -343,9 +343,6 @@ class StarkCalibration:
     def power_to_detuning(self, power_nw: np.ndarray | float) -> np.ndarray | float:
         return self.slope * np.asarray(power_nw, dtype=float) + self.intercept
 
-    def detuning_to_power(self, detuning_mhz: np.ndarray | float) -> np.ndarray | float:
-        return (np.asarray(detuning_mhz, dtype=float) - self.intercept) / self.slope
-
     def to_report(self) -> dict:
         return {
             "model": "stark_affine",
@@ -356,11 +353,8 @@ class StarkCalibration:
         }
 
 
-def stark_calibration(
-    points: Sequence[tuple[float, float]],
-    uncertainties: Sequence[float] | None = None,
-) -> StarkCalibration:
-    """Weighted affine fit of (power_nw, detuning_mhz) calibration points."""
+def stark_calibration(points: Sequence[tuple[float, float]]) -> StarkCalibration:
+    """Least-squares affine fit of (power_nw, detuning_mhz) calibration points."""
     pts = tuple(
         (float(_real("calibration power_nw", p)), float(_real("calibration detuning_mhz", d)))
         for p, d in points
@@ -371,14 +365,8 @@ def stark_calibration(
     detunings = np.array([d for _, d in pts])
     if np.unique(powers).size < 2:
         raise RankDeficiencyError("all calibration points share one power; slope undefined")
-    w = np.ones_like(powers)
-    if uncertainties is not None:
-        u = [_real("calibration uncertainty", x, 0.0, strict=True) for x in uncertainties]
-        if len(u) != len(pts):
-            raise ValueError(f"uncertainties must match the points: {len(u)} for {len(pts)}")
-        w = 1.0 / np.array(u, dtype=float)
-    design = np.column_stack([powers, np.ones_like(powers)]) * w[:, None]
-    coef, *_ = np.linalg.lstsq(design, detunings * w, rcond=None)
+    design = np.column_stack([powers, np.ones_like(powers)])
+    coef, *_ = np.linalg.lstsq(design, detunings, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     resid = tuple(float(d - (slope * p + intercept)) for p, d in pts)
     return StarkCalibration(slope=slope, intercept=intercept, residuals=resid, points=pts)

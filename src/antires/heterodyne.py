@@ -10,15 +10,16 @@ number of beat periods per window this is the maximum-likelihood amplitude
 and phase estimator for white noise.  Phases are always used relative to a
 reference channel, so the arbitrary demodulation epoch cancels.
 
-Two paths give the IQ sums.  :func:`synthesize` builds the digitised trace
-and :func:`iq_windows` reduces it, window by window.  Because the sums are
-linear in the trace, a window's (I, Q) pair under white Gaussian noise is
-itself exactly Gaussian: its mean is the sum of the noiseless trace and its
-covariance is ``sigma^2 [[sum cos^2, sum cos sin], [sum cos sin, sum sin^2]]``
-over one window's carrier phases (not diagonal when the window leaks).
-:func:`iq_law_windows` draws the pairs from that law directly, in time
-linear in the window count plus the window length, with no trace; the CLI
-uses it, and the trace path stays for example traces and as the reference.
+Randomness enters one way: the caller passes a ``numpy.random.Generator``.
+:func:`iq_law_windows` draws each window's (I, Q) sums from their exact law.
+The sums are linear in the trace, so under white Gaussian noise a window's
+pair is itself exactly Gaussian: its mean is the sum of the noiseless trace
+and its covariance is ``sigma^2 [[sum cos^2, sum cos sin], [sum cos sin, sum
+sin^2]]`` over one window's carrier phases (not diagonal when the window
+leaks).  That takes time linear in the window count plus the window length,
+with no trace; the CLI estimates its phases this way.  :func:`synthesize`
+builds the digitised trace itself, for the CLI's example trace and as the
+tests' reference for the law.
 
 :func:`circular_mean` estimates a probe's phase from its windows: the
 argument of the mean phasor of the phase differences, with its standard
@@ -76,7 +77,6 @@ class BeatNoteConfig:
     window_us: float = 10.0
     snr_per_window: float | None = None
     reference_amplitude: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         try:
@@ -84,7 +84,6 @@ class BeatNoteConfig:
                 _real(name, getattr(self, name), 0.0, strict=True)
             if self.snr_per_window is not None:  # None: noiseless
                 _real("snr_per_window", self.snr_per_window, 0.0, strict=True)
-            _count("seed", self.seed, 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.sample_rate_msps <= 2.0 * self.if_freq_mhz:
@@ -129,55 +128,21 @@ class BeatNoteConfig:
         return float(self.reference_amplitude) * math.sqrt(n / 2.0) / float(self.snr_per_window)
 
 
-def synthesize(field: complex, config: BeatNoteConfig, windows: int = 1) -> np.ndarray:
+def synthesize(
+    field: complex, config: BeatNoteConfig, windows: int, rng: np.random.Generator
+) -> np.ndarray:
     """Digitised beat-note trace for a steady field, ``windows`` windows long.
 
-    Noise is drawn independently per window from a generator seeded by
-    ``(config.seed, window_index)``, so traces are reproducible and windows
-    are statistically independent.
+    The noise is one ``rng.normal`` draw in sample order, so a longer trace
+    from the same generator state extends a shorter one.
     """
     windows = _count("windows", windows, 1, MAX_WINDOWS)
-    n = config.samples_per_window
-    t = np.arange(windows * n) / config.sample_rate_msps  # microseconds
+    t = np.arange(windows * config.samples_per_window) / config.sample_rate_msps  # us
     trace = abs(field) * np.cos(2.0 * math.pi * config.if_freq_mhz * t + np.angle(field))
     sigma = config.noise_sigma
     if sigma > 0.0:
-        for w in range(windows):
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, w)))
-            trace[w * n : (w + 1) * n] += rng.normal(0.0, sigma, size=n)
+        trace += rng.normal(0.0, sigma, size=trace.size)
     return trace
-
-
-def _carrier_phase(config: BeatNoteConfig) -> np.ndarray:
-    """Beat phase at each sample of one window, warning if the window leaks."""
-    p = config.periods_per_window
-    if abs(p - round(p)) > 1e-9:
-        warnings.warn(
-            f"{p} beat periods per window is not an integer; IQ sums will leak",
-            LeakageWarning,
-            stacklevel=3,
-        )
-    t = np.arange(config.samples_per_window) / config.sample_rate_msps
-    return 2.0 * math.pi * config.if_freq_mhz * t
-
-
-def iq_windows(trace: np.ndarray, config: BeatNoteConfig) -> np.ndarray:
-    """Boxcar IQ sums of each complete window in the trace.
-
-    Returns a ``(windows, 2)`` array whose rows are the (I, Q) sums of one
-    window.  Warns with :class:`LeakageWarning` when the window does not
-    hold an integer number of beat periods, in which case the quadrature
-    sums leak a bias of order 1/periods into amplitude and phase.
-    """
-    trace = np.asarray(trace, dtype=float)
-    n = config.samples_per_window
-    if trace.ndim != 1 or trace.size < n:
-        raise ValueError(f"trace must hold at least one window of {n} samples")
-    if trace.size % n != 0:
-        raise ValueError(f"trace length {trace.size} is not a multiple of the window ({n})")
-    phase = _carrier_phase(config)
-    segments = trace.reshape(-1, n)
-    return np.stack([segments @ np.cos(phase), segments @ np.sin(phase)], axis=1)
 
 
 def iq_law_windows(
@@ -185,18 +150,28 @@ def iq_law_windows(
 ) -> np.ndarray:
     """IQ sums of ``windows`` noisy windows, drawn from their exact law.
 
-    The same ``(windows, 2)`` quantity as ``iq_windows(synthesize(field,
-    config, windows), config)`` in distribution, without building the trace:
+    The ``(windows, 2)`` boxcar (I, Q) sums of ``synthesize(field, config,
+    windows, rng)``'s windows in distribution, without building the trace:
     window ``w``'s mean is ``Re(field * exp(i omega w T) * u)`` with ``T``
     the window length and ``u = [sum e^{i phi} cos phi, sum e^{i phi} sin phi]``
     over the window's carrier phases ``phi``, and its noise is
     ``rng.standard_normal((windows, 2))`` mapped through the Cholesky factor
     of the sums' covariance.  Row ``w`` depends only on the generator's
     stream and ``w``, so a longer record extends a shorter one.  Warns with
-    :class:`LeakageWarning` like :func:`iq_windows`.
+    :class:`LeakageWarning` when the window does not hold an integer number
+    of beat periods: the sums then leak a bias of order 1/periods into
+    amplitude and phase.
     """
     windows = _count("windows", windows, 1, MAX_WINDOWS)
-    phase = _carrier_phase(config)
+    p = config.periods_per_window
+    if abs(p - round(p)) > 1e-9:
+        warnings.warn(
+            f"{p} beat periods per window is not an integer; IQ sums will leak",
+            LeakageWarning,
+            stacklevel=2,
+        )
+    t = np.arange(config.samples_per_window) / config.sample_rate_msps
+    phase = 2.0 * math.pi * config.if_freq_mhz * t
     basis = np.stack([np.cos(phase), np.sin(phase)])
     u = basis @ np.exp(1j * phase)
     t0 = np.arange(windows) * config.samples_per_window / config.sample_rate_msps
@@ -212,64 +187,21 @@ def iq_law_windows(
     return iq
 
 
-def demodulate(trace: np.ndarray, config: BeatNoteConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes and phases (radians) of every window in the trace."""
-    iq = iq_windows(trace, config)
-    i, q = iq[:, 0], iq[:, 1]
-    return 2.0 * np.hypot(i, q) / config.samples_per_window, np.arctan2(-q, i)
-
-
 def write_trace_csv(trace: np.ndarray, config: BeatNoteConfig, path: str | Path) -> None:
     """Write a digitised trace as (t_us, current) rows."""
     t = np.arange(len(trace)) / config.sample_rate_msps
     write_csv(path, ["t_us", "current"], [t, np.asarray(trace, dtype=float)])
 
 
-@dataclass(frozen=True)
-class PhaseHistogram:
-    """Histogram of phases over one full 360-degree period.
-
-    ``edges`` (degrees) must be strictly increasing and span exactly one
-    period; ``counts`` has one entry fewer than ``edges``.
-    """
+class PhaseHistogram(NamedTuple):
+    """Histogram of phases (degrees) over one full 360-degree period."""
 
     edges: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-            raise ValueError("edges must be a strictly increasing 1-D array")
-        if not math.isclose(edges[-1] - edges[0], 360.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(
-                f"edges must span exactly one 360-degree period, got {edges[-1] - edges[0]}"
-            )
-        if counts.shape != (edges.size - 1,):
-            raise ValueError("counts must have len(edges) - 1 entries")
-        if np.any(counts < 0.0):
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    def normalized(self) -> np.ndarray:
-        """Counts scaled to unit maximum (peak-normalised profile)."""
-        peak = self.counts.max()
-        if peak == 0.0:
-            raise ValueError("cannot normalise an empty histogram")
-        return self.counts / peak
 
 
 def accumulate_histogram(
@@ -292,7 +224,6 @@ def accumulate_histogram(
     edges = np.linspace(-180.0, 180.0, bins + 1)
     counts, _ = np.histogram(wrapped, bins=edges)
     return PhaseHistogram(edges=edges, counts=counts.astype(float))
-
 
 
 class CircularMean(NamedTuple):

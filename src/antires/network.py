@@ -66,7 +66,8 @@ class InvalidNetworkError(ValueError):
 class SingularResponseError(RuntimeError):
     """Raised when a steady-state solve has no trustworthy solution: the matrix is
     singular, or so nearly so (a mode with a subnormal decay, probed at its own
-    frequency) that the solution or ``det(M)`` overflows or ``det(M)`` is subnormal."""
+    frequency) that the solution or ``det(M)`` overflows or ``det(M)`` is subnormal,
+    or the drive is so large that a finite solve's amplitudes overflow."""
 
 
 def _finite_real(value: object) -> bool:
@@ -226,12 +227,12 @@ class ModeNetwork:
         return self.labels[self._driven]
 
     def with_drive_on(self, label: str, amplitude: complex = 1.0) -> "ModeNetwork":
-        """Copy of the network driven only on ``label`` with ``amplitude``, a finite
-        int, float or complex (numpy's too, never a bool or a string)."""
+        """Copy of the network driven only on ``label`` with ``amplitude``, a nonzero
+        finite int, float or complex (numpy's too, never a bool or a string)."""
         if not (_finite_real(amplitude) or (isinstance(amplitude, (complex, np.complexfloating))
-                                            and cmath.isfinite(amplitude))):
-            raise InvalidNetworkError(f"drive amplitude on {label!r} must be a finite int, "
-                                      f"float or complex, got {amplitude!r}")
+                                            and cmath.isfinite(amplitude))) or amplitude == 0:
+            raise InvalidNetworkError(f"drive amplitude on {label!r} must be a nonzero finite "
+                                      f"int, float or complex, got {amplitude!r}")
         d = np.zeros(len(self), dtype=complex)
         d[self.index(label)] = amplitude
         return replace(self, drive=d)
@@ -304,7 +305,9 @@ def steady_state(network: ModeNetwork, probe: float) -> SteadyState:
         with np.errstate(all="ignore"):  # a singular solve is refused below
             det, x = _adjugate(rows)
         if not (_TINY <= abs(det) < math.inf and all(map(cmath.isfinite, x))):
-            raise SingularResponseError(f"singular response matrix at probe={probe}")
+            raise SingularResponseError(
+                f"no finite steady state (singular response or overflowing amplitudes) "
+                f"at probe={probe}")
         amps = np.array(x)
     else:
         amps = steady_state_batch(network, [probe])[0]
@@ -442,7 +445,9 @@ def _solve(rows: np.ndarray, q: np.ndarray, probes: np.ndarray, work: tuple) -> 
         parts, x = modal.view(float), np.moveaxis(modal, 0, -1)
     if not (-math.inf < parts.min() and parts.max() < math.inf):  # a NaN fails both
         bad = probes[np.isfinite(x).all(axis=-1).argmin() % probes.size]
-        raise SingularResponseError(f"singular response matrix at probe={bad}")
+        raise SingularResponseError(
+            f"no finite steady state (singular response or overflowing amplitudes) "
+            f"at probe={bad}")
     return x
 
 

@@ -162,25 +162,23 @@ def antiresonances(network: ModeNetwork, drive_label: str) -> list[Antiresonance
 
 
 def cancel_pole_zero_pairs(
-    poles: Sequence[ResonancePole],
-    zeros: Sequence[AntiresonanceZero],
-    tol: float = 1e-9,
+    poles: Sequence[ResonancePole], zeros: Sequence[AntiresonanceZero]
 ) -> tuple[list[ResonancePole], list[AntiresonanceZero]]:
-    """Drop pole/zero pairs that coincide within ``tol`` (both center and width).
+    """Drop pole/zero pairs that coincide within 1e-9 in both center and width.
 
     A zero sitting exactly on a pole cancels out of the driven response and
     produces no observable feature -- e.g. a decoupled emitter contributes a
     pole and a zero at its own complex frequency.  Reports of *observable*
     structure should use the reduced sets.
     """
-    _real("tol", tol, 0.0)  # NaN cancels nothing
     zs = list(zeros)
     out_poles: list[ResonancePole] = []
     for p in poles:
         mult = p.multiplicity
         survivors = []
         for z in zs:
-            if mult > 0 and abs(z.center - p.center) <= tol and abs(z.half_width - p.half_width) <= tol:
+            if (mult > 0 and abs(z.center - p.center) <= 1e-9
+                    and abs(z.half_width - p.half_width) <= 1e-9):
                 mult -= 1
             else:
                 survivors.append(z)
@@ -538,33 +536,34 @@ class LossyVerdict:
 
 def lossy_component_identify(
     network: ModeNetwork,
-    candidates: Sequence[str] | None = None,
     *,
     spectra: Mapping[str, ComplexSpectrum] | None = None,
     rel_tol: float = 1e-3,
 ) -> LossyVerdict:
-    """Identify the lossiest mode by driving each candidate in turn.
+    """Identify the lossiest mode by driving each port in turn.
 
     The mean antiresonance half-width under drive port p equals the mean
     decay of the *other* modes (the trace of the reduced mode matrix), so it
     is smallest when the lossy mode itself is driven.  Widths come from the
-    algebraic zeros of ``network``, or -- when ``spectra`` maps drive labels
-    to measured spectra -- from numeric dip detection on those spectra.
+    algebraic zeros of ``network`` under every mode as a port, or -- when
+    ``spectra`` maps drive labels to measured spectra -- from numeric dip
+    detection on those spectra, whose labels are then the ports compared;
+    a label that names no mode is refused with ``ValueError``.
 
     Raises :class:`AmbiguityError` when the runner-up mean width is within
     ``rel_tol`` (relative, ``>= 0``) of the minimum.
     """
     _real("rel_tol", rel_tol, 0.0)  # a negative one ties nothing
-    if candidates is None:
-        candidates = network.labels
-    if len(candidates) < 2:
-        raise ValueError("need at least two candidate drive ports to compare")
+    ports = network.labels if spectra is None else tuple(spectra)
+    for label in ports:
+        if label not in network.labels:
+            raise ValueError(f"spectrum for {label!r}, which names no mode of the network")
+    if len(ports) < 2:
+        raise ValueError("need at least two drive ports to compare")
 
     widths: dict[str, tuple[float, ...]] = {}
-    for label in candidates:
+    for label in ports:
         if spectra is not None:
-            if label not in spectra:
-                raise KeyError(f"no spectrum supplied for drive port {label!r}")
             zeros = detect_antiresonances_numeric(spectra[label], label)
             ws = tuple(z.half_width for z in zeros if not z.at_boundary)
             if not ws:

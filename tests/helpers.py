@@ -8,6 +8,7 @@ the code under test.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,22 @@ def dense_mode_matrix(network: ModeNetwork) -> np.ndarray:
         a[i, i] = mode.frequency - 1j * mode.decay
     assert a.shape == (n, n)
     return a
+
+
+def iq_windows(trace: np.ndarray, config) -> np.ndarray:
+    """Boxcar (I, Q) sums of each window of a digitised heterodyne trace: the
+    trace-path reference for ``iq_law_windows``, as a ``(windows, 2)`` array."""
+    n = config.samples_per_window
+    phase = 2.0 * math.pi * config.if_freq_mhz * np.arange(n) / config.sample_rate_msps
+    segments = np.asarray(trace, dtype=float).reshape(-1, n)
+    return np.stack([segments @ np.cos(phase), segments @ np.sin(phase)], axis=1)
+
+
+def demodulate(trace: np.ndarray, config) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes and phases (radians) of every window of a digitised trace."""
+    iq = iq_windows(trace, config)
+    i, q = iq[:, 0], iq[:, 1]
+    return 2.0 * np.hypot(i, q) / config.samples_per_window, np.arctan2(-q, i)
 
 
 def traced_peak(call):

@@ -21,7 +21,7 @@ from antires import cli as cli_module
 from antires import oracle as oracle_module
 from antires.cli import DEFAULTS, main
 from antires.fitting import fit_arctan_phase
-from antires.heterodyne import BeatNoteConfig, accumulate_histogram
+from antires.heterodyne import BeatNoteConfig, accumulate_histogram, synthesize, write_trace_csv
 from antires.network import (
     Mode,
     ModeNetwork,
@@ -29,6 +29,7 @@ from antires.network import (
     closed_form_two_mode,
     save_network,
     steady_state,
+    steady_state_family,
 )
 from antires.oracle import CutoffConvergenceError, DensityMatrixError, JCParams, linear_limit_check
 from antires.presets import NETWORK_PRESETS, emitter_resonator
@@ -587,6 +588,27 @@ def test_heterodyne_demo_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_trace_example_is_one_window_drawn_from_probe_0s_third_channel(tmp_path):
+    # channels 0 and 1 of probe 0 are its estimated system and reference windows;
+    # the example trace draws from channel 2 of the same (seed, probe) pair
+    seed, probe = 5, -6.0
+    cfg = write_config(tmp_path, {"probe_points": [probe, 6.0], "windows": 40})
+    out = tmp_path / "run"
+    assert run_cli("heterodyne-demo", "--config", cfg, "--out", str(out),
+                   "--seed", str(seed))[0] == 0
+    net = emitter_resonator()
+    # the system and its empty cavity (emitter coupling scaled to 0), as the CLI solves them
+    fields = steady_state_family(net, np.zeros((2, 1, 2)), [[1.0], [0.0]], [probe])
+    field_sys, field_ref = fields[0, 0, 0], fields[1, 0, 0]
+    opts = DEFAULTS["heterodyne-demo"]
+    # the SNR is quoted on the reference channel, whose amplitude sets the noise
+    point_beat = BeatNoteConfig(**opts["beat"], snr_per_window=opts["snr_per_window"],
+                                reference_amplitude=abs(field_ref))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2)))
+    write_trace_csv(synthesize(field_sys, point_beat, 1, rng), point_beat, tmp_path / "want.csv")
+    assert (out / "trace_example.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def _bias_system_channel(monkeypatch, bias_deg, probes=None):
     """Rotate the system field by ``bias_deg`` before its windows are drawn.
 
@@ -787,6 +809,10 @@ def test_a_network_file_that_cannot_be_read_exits_2_naming_it(tmp_path, monkeypa
     ("spectrum", '{"network_params": {"eta": "1+2j"}}', "got '1+2j'"),
     ("spectrum", '{"network_params": {"eta": true}}', "drive amplitude on 'cavity'"),
     ("spectrum", '{"network_params": {"eta": "x"}}', "got 'x'"),
+    # a zero drive is refused where the preset sets it, so the message names
+    # network_params; amplitudes that overflow are not a singular matrix
+    ("spectrum", '{"network_params": {"eta": 0}}', "network_params"),
+    ("spectrum", '{"network_params": {"eta": 1e308}}', "overflowing amplitudes"),
     ("spectrum", '{"network_params": {"coupling": true}}', "coupling"),
     ("characterize", '{"network_params": {"decay_scale": true}}', "decay_scale"),
     ("oracle-check", '{"cutoff": 40}', "cutoff 40 must be below max_cutoff 40"),

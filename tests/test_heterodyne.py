@@ -13,15 +13,14 @@ from antires.heterodyne import (
     BeatNoteConfig,
     ConfigError,
     LeakageWarning,
-    PhaseHistogram,
     accumulate_histogram,
     circular_mean,
-    demodulate,
     iq_law_windows,
-    iq_windows,
     synthesize,
     write_trace_csv,
 )
+
+from helpers import demodulate, iq_windows
 
 
 def circ_err(a, b):
@@ -62,10 +61,7 @@ def test_config_validation():
     for value in (True, "5", math.inf, math.nan, -1.0):
         with pytest.raises(ConfigError, match="snr_per_window"):
             BeatNoteConfig(snr_per_window=value)
-    for value in (True, "3", -1, 1.5):
-        with pytest.raises(ConfigError, match="seed"):
-            BeatNoteConfig(seed=value)
-    BeatNoteConfig(snr_per_window=None, seed=np.uint32(7))
+    BeatNoteConfig(snr_per_window=None)
     # a per-sample sigma that overflows is refused, checked in Python floats so
     # that numpy does not warn first; a reference amplitude can tip it over too
     with warnings.catch_warnings():
@@ -91,10 +87,11 @@ def test_noise_sigma_from_snr():
 
 def test_noiseless_round_trip_grid():
     cfg = BeatNoteConfig()
+    rng = np.random.default_rng(0)  # never drawn from: no noise
     for amp in (0.2, 0.7, 1.0, 1.6, 2.0):
         for deg in range(-175, 181, 40):
             field = amp * np.exp(1j * np.radians(deg))
-            amps, phases = demodulate(synthesize(field, cfg), cfg)
+            amps, phases = demodulate(synthesize(field, cfg, 1, rng), cfg)
             assert amps[0] == pytest.approx(amp, rel=1e-12)
             assert circ_err(phases[0], np.radians(deg))[()] < 1e-9
 
@@ -104,23 +101,25 @@ def test_recovered_phase_is_principal_valued():
     rng = np.random.default_rng(8)
     for _ in range(25):
         field = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        _, phases = demodulate(synthesize(field, cfg), cfg)
+        _, phases = demodulate(synthesize(field, cfg, 1, rng), cfg)
         assert -np.pi <= phases[0] <= np.pi
 
 
 def test_amplitude_linearity():
     cfg = BeatNoteConfig()
+    rng = np.random.default_rng(0)  # never drawn from: no noise
     field = 1.3 * np.exp(0.4j)
-    a1, p1 = demodulate(synthesize(field, cfg), cfg)
-    a2, p2 = demodulate(synthesize(field / 2.0, cfg), cfg)
+    a1, p1 = demodulate(synthesize(field, cfg, 1, rng), cfg)
+    a2, p2 = demodulate(synthesize(field / 2.0, cfg, 1, rng), cfg)
     assert a2[0] == pytest.approx(a1[0] / 2.0, rel=1e-12)
     assert p2[0] == pytest.approx(p1[0], abs=1e-12)
 
 
 def test_quarter_period_delay_equals_minus_ninety_degrees():
     cfg = BeatNoteConfig(sample_rate_msps=40.0)  # 40 samples per beat period
-    lead = synthesize(1.0 + 0j, cfg)
-    lag = synthesize(np.exp(-1j * np.pi / 2.0), cfg)
+    rng = np.random.default_rng(0)  # never drawn from: no noise
+    lead = synthesize(1.0 + 0j, cfg, 1, rng)
+    lag = synthesize(np.exp(-1j * np.pi / 2.0), cfg, 1, rng)
     quarter = 10  # samples
     np.testing.assert_allclose(lag[quarter:], lead[:-quarter], atol=1e-12)
     _, phases = demodulate(lag, cfg)
@@ -131,17 +130,17 @@ def test_quarter_period_delay_equals_minus_ninety_degrees():
 
 
 def test_zero_field_trace_is_pure_noise_of_the_right_size():
-    cfg = BeatNoteConfig(snr_per_window=10.0, seed=13)
-    trace = synthesize(0.0, cfg, windows=2000)
+    cfg = BeatNoteConfig(snr_per_window=10.0)
+    trace = synthesize(0.0, cfg, 2000, np.random.default_rng(13))
     assert trace.size == 1_000_000
     assert trace.mean() == pytest.approx(0.0, abs=5e-3)
     assert trace.var() == pytest.approx(cfg.noise_sigma**2, rel=0.05)
 
 
 def test_phase_noise_tracks_one_over_snr():
-    cfg = BeatNoteConfig(snr_per_window=10.0, seed=21)
+    cfg = BeatNoteConfig(snr_per_window=10.0)
     field = np.exp(0.7j)  # amplitude equal to the reference
-    _, phases = demodulate(synthesize(field, cfg, windows=4000), cfg)
+    _, phases = demodulate(synthesize(field, cfg, 4000, np.random.default_rng(21)), cfg)
     spread = circ_err(phases, 0.7)
     std = np.sqrt(np.mean(spread**2))
     assert std == pytest.approx(1.0 / 10.0, rel=0.1)
@@ -151,20 +150,21 @@ def test_phase_noise_tracks_one_over_snr():
 
 
 def test_windows_are_reproducible_and_independent():
-    cfg = BeatNoteConfig(snr_per_window=5.0, seed=3)
-    one = synthesize(1.0 + 0j, cfg, windows=1)
-    two = synthesize(1.0 + 0j, cfg, windows=2)
-    np.testing.assert_array_equal(two[: one.size], one)  # same (seed, 0) stream
-    assert not np.array_equal(two[one.size :], one)  # (seed, 1) differs
-    again = synthesize(1.0 + 0j, cfg, windows=2)
-    np.testing.assert_array_equal(two, again)
-    other = synthesize(1.0 + 0j, BeatNoteConfig(snr_per_window=5.0, seed=4), windows=2)
-    assert not np.array_equal(two, other)
+    cfg = BeatNoteConfig(snr_per_window=5.0)
+
+    def draw(windows, seed=3):
+        return synthesize(1.0 + 0j, cfg, windows, np.random.default_rng(seed))
+
+    one, two = draw(1), draw(2)
+    np.testing.assert_array_equal(two[: one.size], one)  # a longer trace extends a shorter one
+    assert not np.array_equal(two[one.size :], one)  # window 1 draws its own noise
+    np.testing.assert_array_equal(draw(2), two)  # the same generator state, the same trace
+    assert not np.array_equal(draw(2, seed=4), two)
 
 
 def test_demodulation_matches_per_window_reference():
-    cfg = BeatNoteConfig(snr_per_window=4.0, seed=11)
-    trace = synthesize(0.7 * np.exp(-2.1j), cfg, windows=50)
+    cfg = BeatNoteConfig(snr_per_window=4.0)
+    trace = synthesize(0.7 * np.exp(-2.1j), cfg, 50, np.random.default_rng(11))
     n = cfg.samples_per_window
     phase = 2.0 * math.pi * cfg.if_freq_mhz * np.arange(n) / cfg.sample_rate_msps
     amp_ref, phase_ref = [], []
@@ -205,7 +205,7 @@ def test_noiseless_law_equals_demodulated_synthesis(timing):
     cfg = BeatNoteConfig(**timing)
     rng = np.random.default_rng(0)
     for field in (1.0 + 0j, 0.7 * np.exp(-2.1j), 1.9 * np.exp(0.4j), 1e-3j):
-        want = iq_windows(synthesize(field, cfg, windows=60), cfg)
+        want = iq_windows(synthesize(field, cfg, 60, rng), cfg)
         got = iq_law_windows(field, cfg, 60, rng)
         assert got.shape == (60, 2)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -218,13 +218,15 @@ def test_law_noise_matches_synthesized_noise(timing):
     # path's mean is within 4 standard errors sigma_i / sqrt(W) of zero, and
     # each covariance entry within 4 standard errors sqrt((C_ii C_jj +
     # C_ij^2) / W) of the exact C; path against path the errors are sqrt(2)
-    # larger.
+    # larger.  The two paths draw from independent streams.
     windows = 2000
-    cfg = BeatNoteConfig(snr_per_window=5.0, seed=17, **timing)
+    cfg = BeatNoteConfig(snr_per_window=5.0, **timing)
     field = 0.8 * np.exp(0.6j)
-    exact = iq_windows(synthesize(field, replace(cfg, snr_per_window=None), windows), cfg)
-    trace = iq_windows(synthesize(field, cfg, windows), cfg) - exact
-    law = iq_law_windows(field, cfg, windows, np.random.default_rng(17)) - exact
+    trace_rng, law_rng = map(np.random.default_rng, np.random.SeedSequence(17).spawn(2))
+    exact = iq_windows(synthesize(field, replace(cfg, snr_per_window=None), windows, trace_rng),
+                       cfg)
+    trace = iq_windows(synthesize(field, cfg, windows, trace_rng), cfg) - exact
+    law = iq_law_windows(field, cfg, windows, law_rng) - exact
     cov = _law_covariance(cfg)
     mean_se = np.sqrt(np.diag(cov) / windows)
     cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / windows)
@@ -267,8 +269,9 @@ def test_law_windows_extend_a_shorter_record(timing):
 
 def test_law_windows_warn_about_leakage():
     rng = np.random.default_rng(0)
-    with pytest.warns(LeakageWarning):
+    with pytest.warns(LeakageWarning) as record:
         iq_law_windows(1.0 + 0j, BeatNoteConfig(window_us=10.5), 3, rng)
+    assert record[0].filename == __file__  # the warning points at the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error", LeakageWarning)
         iq_law_windows(1.0 + 0j, BeatNoteConfig(), 3, rng)
@@ -281,37 +284,9 @@ def test_window_counts_must_be_integers_within_the_cap():
         with pytest.raises(ValueError, match="windows"):
             iq_law_windows(1.0 + 0j, cfg, windows, rng)
         with pytest.raises(ValueError, match="windows"):
-            synthesize(1.0 + 0j, cfg, windows)
+            synthesize(1.0 + 0j, cfg, windows, rng)
     assert iq_law_windows(1.0 + 0j, cfg, np.int64(3), rng).shape == (3, 2)
-    assert synthesize(1.0 + 0j, cfg, np.int64(2)).size == 2 * cfg.samples_per_window
-
-
-# ----------------------------------------------------------------- leakage
-
-
-def test_non_integer_periods_warn_about_leakage():
-    cfg = BeatNoteConfig(window_us=10.5, sample_rate_msps=50.0)  # 10.5 periods
-    trace = synthesize(1.0 + 0j, cfg)
-    with pytest.warns(LeakageWarning):
-        iq_windows(trace, cfg)
-
-
-def test_integer_periods_do_not_warn():
-    cfg = BeatNoteConfig()
-    trace = synthesize(1.0 + 0j, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LeakageWarning)
-        iq_windows(trace, cfg)
-
-
-def test_trace_length_validation():
-    cfg = BeatNoteConfig()
-    with pytest.raises(ValueError):
-        iq_windows(np.zeros(10), cfg)  # shorter than one window
-    with pytest.raises(ValueError):
-        iq_windows(np.zeros(750), cfg)  # not a whole number of windows
-    with pytest.raises(ValueError):
-        synthesize(1.0 + 0j, cfg, windows=0)
+    assert synthesize(1.0 + 0j, cfg, np.int64(2), rng).size == 2 * cfg.samples_per_window
 
 
 # --------------------------------------------------------------- histogram
@@ -319,7 +294,7 @@ def test_trace_length_validation():
 
 def test_histogram_of_identical_phases_is_a_single_bin():
     hist = accumulate_histogram(np.full(300, 0.4), 0.4)
-    assert hist.total == 300.0
+    assert hist.counts.sum() == 300.0
     assert np.count_nonzero(hist.counts) == 1
     k = int(np.argmax(hist.counts))
     assert hist.edges[k] <= 0.0 < hist.edges[k + 1]
@@ -336,8 +311,7 @@ def test_histogram_wraps_differences():
     # +170 deg versus -170 deg reference is a -20 deg difference, not +340
     hist = accumulate_histogram(np.array([np.radians(170.0)]), np.radians(-170.0))
     k = int(np.argmax(hist.counts))
-    center = 0.5 * (hist.edges[k] + hist.edges[k + 1])
-    assert center == pytest.approx(-17.5)  # the bin holding -20 deg
+    assert hist.centers[k] == pytest.approx(-17.5)  # the bin holding -20 deg
 
 
 def test_histogram_validation():
@@ -356,23 +330,6 @@ def test_histogram_accepts_per_sample_reference():
     k = int(np.argmax(hist.counts))
     assert hist.edges[k] <= 12.0 < hist.edges[k + 1]
     assert hist.counts[k] == 100.0
-
-
-def test_histogram_validation_and_helpers():
-    with pytest.raises(ValueError):
-        PhaseHistogram(edges=np.linspace(-180.0, 170.0, 36), counts=np.zeros(35))
-    edges = np.linspace(-180.0, 180.0, 73)
-    with pytest.raises(ValueError):
-        PhaseHistogram(edges=edges, counts=np.zeros(10))
-    with pytest.raises(ValueError):
-        PhaseHistogram(edges=edges, counts=np.full(72, -1.0))
-    hist = PhaseHistogram(edges=edges, counts=np.arange(72, dtype=float))
-    assert hist.bin_width == pytest.approx(5.0)
-    assert hist.centers[0] == pytest.approx(-177.5)
-    assert hist.normalized().max() == pytest.approx(1.0)  # peak-normalised
-    empty = PhaseHistogram(edges=edges, counts=np.zeros(72))
-    with pytest.raises(ValueError):
-        empty.normalized()
 
 
 # ------------------------------------------------------------ circular mean
@@ -429,8 +386,8 @@ def test_circular_mean_of_no_phases_is_refused():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    cfg = BeatNoteConfig(snr_per_window=8.0, seed=5)
-    trace = synthesize(0.9 * np.exp(0.3j), cfg)
+    cfg = BeatNoteConfig(snr_per_window=8.0)
+    trace = synthesize(0.9 * np.exp(0.3j), cfg, 1, np.random.default_rng(5))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, cfg, path)
     with open(path, newline="") as fh:

@@ -936,6 +936,14 @@ def test_with_drive_on_unknown_label():
     assert net.driven_label() == "cavity"  # original untouched
 
 
+def test_with_drive_on_refuses_a_zero_amplitude():
+    # a zero drive has no steady state to solve for; it is refused where it is set
+    net = two_mode_network()
+    for amplitude in (0, 0.0, -0.0, 0j, np.float64(0.0), np.complex128(0.0)):
+        with pytest.raises(InvalidNetworkError, match="on 'atom' must be a nonzero"):
+            net.with_drive_on("atom", amplitude)
+
+
 def test_arrays_are_read_only():
     net = two_mode_network()
     with pytest.raises((ValueError, RuntimeError)):

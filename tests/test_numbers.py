@@ -25,12 +25,12 @@ from antires.network import (
     _real,
     network_from_dict,
     network_to_dict,
+    steady_state,
 )
 from antires.oracle import JCParams, linear_limit_check, lindblad_steady_state
 from antires.presets import emitter_resonator, five_node_demo
 from antires.spectra import (
     MotionEnsemble,
-    cancel_pole_zero_pairs,
     detect_antiresonances_numeric,
     lossy_component_identify,
     sweep,
@@ -78,14 +78,19 @@ NUMBERS = [
            lambda x: _network_file("drive", "re", x), 1),
     Number("network_from_dict", "im", FINITE, InvalidNetworkError,
            lambda x: _network_file("drive", "im", x), 1),
+    Number("steady_state", "probe", FINITE, ValueError,
+           lambda x: steady_state(emitter_resonator(), x), 1),
     Number("ProbeGrid", "grid start", FINITE, ValueError,
            lambda x: ProbeGrid(x, 10.0, 3), 1, attrgetter("start")),
     Number("ProbeGrid", "grid stop", FINITE, ValueError,
            lambda x: ProbeGrid(-10.0, x, 3), 1, attrgetter("stop")),
     Number("detect_antiresonances_numeric", "prominence_db", NON_NEGATIVE, ValueError,
            lambda x: detect_antiresonances_numeric(SPECTRUM, "cavity", x), 0),
-    Number("cancel_pole_zero_pairs", "tol", NON_NEGATIVE, ValueError,
-           lambda x: cancel_pole_zero_pairs([], [], tol=x), 0),
+    Number("emitter_resonator", "coupling", FINITE, ValueError,
+           lambda x: emitter_resonator(coupling=x), 1),
+    # the lossy node's decay must also come out positive; that is Mode's rule
+    Number("five_node_demo", "decay_scale", FINITE, ValueError,
+           lambda x: five_node_demo(decay_scale=x), 1),
     Number("lossy_component_identify", "rel_tol", NON_NEGATIVE, ValueError,
            lambda x: lossy_component_identify(five_node_demo(), rel_tol=x), 0),
     Number("MotionEnsemble", "scale_mean", FINITE, ValueError,
@@ -100,8 +105,6 @@ NUMBERS = [
            lambda x: stark_calibration([(x, 12.0), (950.0, -5.0)]), 1),
     Number("stark_calibration", "calibration detuning_mhz", FINITE, ValueError,
            lambda x: stark_calibration([(1400.0, x), (950.0, -5.0)]), 1),
-    Number("stark_calibration", "calibration uncertainty", POSITIVE, ValueError,
-           lambda x: stark_calibration([(1400.0, 12.0), (950.0, -5.0)], [1.0, x]), 1),
     *[Number("JCParams", field, rule, ValueError,
              lambda x, f=field: JCParams(**{**JC, f: x}), 1, attrgetter(field))
       for field, rule in (("gamma", POSITIVE), ("kappa", POSITIVE), ("g", FINITE),

@@ -677,10 +677,21 @@ def test_identification_from_measured_spectra():
 
 
 def test_candidate_subset_restricts_the_verdict():
+    # the spectra supplied are the ports compared
     net = five_node_demo(lossy="n3")
-    verdict = lossy_component_identify(net, candidates=("n1", "n3"))
+    grid = ProbeGrid(-45.0, 45.0, 9001)
+    spectra = {lab: sweep(net.with_drive_on(lab), grid) for lab in ("n1", "n3")}
+    verdict = lossy_component_identify(net, spectra=spectra)
     assert verdict.label == "n3"
     assert set(verdict.mean_widths) == {"n1", "n3"}
+
+
+def test_a_spectrum_whose_label_names_no_mode_is_refused_by_name():
+    # refused, not compared or skipped, before any spectrum is read
+    net = five_node_demo(lossy="n3")
+    spectrum = sweep(net.with_drive_on("n1"), ProbeGrid(-45.0, 45.0, 201))
+    with pytest.raises(ValueError, match="'n9'"):
+        lossy_component_identify(net, spectra={"n1": spectrum, "n9": spectrum})
 
 
 # ------------------------------------------------------------------- files
